@@ -6,9 +6,18 @@ collections (paper Section 3.2). Two data paths exist:
 * ``rows(ctx, ups)``  — row-at-a-time: iterators of ``dict`` tuples. This is
   the reference semantics and the engine of the interpreted (Presto-like)
   baseline.
-* ``batches(ctx, ups)`` — vectorized: iterators of pandas DataFrames. This
-  is the reproduction's analogue of the paper's JIT-compiled pipelines: the
+* ``batches(ctx, ups)`` — vectorized: iterators of *batches*. This is the
+  reproduction's analogue of the paper's JIT-compiled pipelines: the
   per-tuple interpretation overhead disappears from inner loops.
+
+A batch is one of two kinds. Data tuples travel as a pandas DataFrame, so
+kernels run over whole columns. Control-level tuples — the few tuples that
+carry a nested ``RowVector`` or a partition id (parameter tuples, nested-plan
+results, partition lists) — travel as a plain ``list`` of the same ``dict``
+tuples the row path uses, because building a one-row object-dtype frame
+per nested invocation costs far more than the work it orchestrates. Every
+``batches()`` accepts either kind: ``tuples_of`` and ``frame_of`` convert
+at the boundary, and ``concat_batches`` takes both.
 
 Operators are composed into a DAG via their ``upstreams`` list; the
 evaluators in ``repro.core.interp`` / ``repro.core.vectorized`` drive the
@@ -17,11 +26,14 @@ iteration and handle multi-consumer materialization (pipeline cutting).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Union
 
 import pandas as pd
 
-from repro.core.types import TupleType
+from repro.core.types import RowVector, TupleType
+
+#: a data batch (DataFrame) or a control batch (list of tuple dicts)
+Batch = Union[pd.DataFrame, List[dict]]
 
 
 @dataclass
@@ -37,7 +49,6 @@ class ExecContext:
 
     params: Optional[dict] = None
     comm: Any = None
-    batch_size: int = 65536
     profiler: Any = None
     run_nested_rows: Optional[Callable] = None
     run_nested_batches: Optional[Callable] = None
@@ -72,9 +83,7 @@ class SubOperator:
             f"{type(self).__name__} has no row-at-a-time implementation"
         )
 
-    def batches(
-        self, ctx: ExecContext, ups: Sequence[Iterator[pd.DataFrame]]
-    ) -> Iterator[pd.DataFrame]:
+    def batches(self, ctx: ExecContext, ups: Sequence[Iterator[Batch]]) -> Iterator[Batch]:
         raise NotImplementedError(
             f"{type(self).__name__} has no vectorized implementation"
         )
@@ -83,38 +92,32 @@ class SubOperator:
         return f"{type(self).__name__}"
 
 
-def rows_to_batches(
-    rows: Iterator[dict], batch_size: int, columns: Optional[Sequence[str]] = None
-) -> Iterator[pd.DataFrame]:
-    """Adapter: chunk a row stream into DataFrame batches."""
-    buf: List[dict] = []
-    emitted = False
-    for r in rows:
-        buf.append(r)
-        if len(buf) >= batch_size:
-            yield pd.DataFrame(buf)
-            emitted = True
-            buf = []
-    if buf:
-        yield pd.DataFrame(buf)
-        emitted = True
-    if not emitted and columns is not None:
-        yield pd.DataFrame(columns=list(columns))
+def tuples_of(batch: Batch) -> List[dict]:
+    """The tuples of a batch of either kind, as row dicts (a control batch
+    is returned as is; callers must not mutate it)."""
+    if isinstance(batch, list):
+        return batch
+    return list(RowVector(batch).iter_rows())
 
 
-def batches_to_rows(batches: Iterator[pd.DataFrame]) -> Iterator[dict]:
-    """Adapter: flatten DataFrame batches into a row-dict stream."""
-    from repro.core.types import RowVector
+def frame_of(batch: Batch) -> pd.DataFrame:
+    """A batch of either kind as a DataFrame, for kernels over columns."""
+    if isinstance(batch, list):
+        return pd.DataFrame(batch)
+    return batch
 
-    for pdf in batches:
-        yield from RowVector(pdf).iter_rows()
 
-
-def concat_batches(batches: Sequence[pd.DataFrame], columns: Optional[Sequence[str]] = None) -> pd.DataFrame:
-    """Concatenate batches; an empty stream yields an empty typed frame."""
-    mats = [b for b in batches if len(b)]
+def concat_batches(batches: Sequence[Batch], columns: Optional[Sequence[str]] = None) -> pd.DataFrame:
+    """Concatenate batches of either kind into one frame; an empty stream
+    yields an empty typed frame. A lone non-empty frame is returned without
+    a copy when its index is already canonical (operators never mutate
+    their input frames)."""
+    mats = [frame_of(b) for b in batches if len(b)]
+    if len(mats) == 1:
+        return RowVector(mats[0]).df
     if mats:
         return pd.concat(mats, ignore_index=True)
     for b in batches:
-        return b.iloc[:0]
+        if isinstance(b, pd.DataFrame):
+            return b.iloc[:0]
     return pd.DataFrame(columns=list(columns or []))

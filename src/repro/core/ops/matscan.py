@@ -8,13 +8,13 @@ contiguous partitions.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, Sequence
 
 import numpy as np
 import pandas as pd
 
 from repro.core import radix
-from repro.core.ops.base import ExecContext, SubOperator, concat_batches
+from repro.core.ops.base import SubOperator, concat_batches, tuples_of
 from repro.core.types import INT64, RowVector, RowVectorType, TupleType
 
 
@@ -62,8 +62,8 @@ class RowScan(SubOperator):
             yield from self._vector(t).iter_rows()
 
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        for pdf in ups[0]:
-            for t in RowVector(pdf).iter_rows():
+        for batch in ups[0]:
+            for t in tuples_of(batch):
                 yield self._vector(t).df
 
 
@@ -93,9 +93,8 @@ class MaterializeRowVector(SubOperator):
     def rows(self, ctx, ups) -> Iterator[dict]:
         yield {self.field: RowVector.from_rows(list(ups[0]), columns=self.columns)}
 
-    def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        pdf = concat_batches(list(ups[0]), columns=self.columns)
-        yield pd.DataFrame({self.field: pd.Series([RowVector(pdf)], dtype=object)})
+    def batches(self, ctx, ups) -> Iterator[List[dict]]:
+        yield [{self.field: RowVector(concat_batches(list(ups[0]), columns=self.columns))}]
 
 
 class LocalPartitioning(SubOperator):
@@ -164,17 +163,14 @@ class LocalPartitioning(SubOperator):
                 self.data_field: RowVector.from_rows(parts[p], columns=columns or []),
             }
 
-    def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        from repro.core.types import RowVector as RV
-
-        pdf = concat_batches(list(ups[1]))
-        sizes = self._sizes(RV(pdf).iter_rows())
+    def batches(self, ctx, ups) -> Iterator[List[dict]]:
+        sizes = self._sizes(tuples_of(concat_batches(list(ups[1]))))
         data = concat_batches(list(ups[0]))
         if self.bucket_batch_fn is not None and len(data):
             pids = np.asarray(self.bucket_batch_fn(data))
         else:
             pids = np.fromiter(
-                (self.bucket_fn(t) for t in RV(data).iter_rows()),
+                (self.bucket_fn(t) for t in RowVector(data).iter_rows()),
                 dtype=np.int64,
                 count=len(data),
             )
@@ -184,9 +180,6 @@ class LocalPartitioning(SubOperator):
                 raise RuntimeError(
                     f"partition {p}: histogram says {sizes[p]} tuples, saw {len(f)}"
                 )
-        yield pd.DataFrame(
-            {
-                self.pid_field: np.arange(self.n_partitions, dtype=np.int64),
-                self.data_field: pd.Series([RowVector(f) for f in frames], dtype=object),
-            }
-        )
+        yield [
+            {self.pid_field: p, self.data_field: RowVector(f)} for p, f in enumerate(frames)
+        ]

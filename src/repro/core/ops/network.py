@@ -10,13 +10,13 @@ exchange) — same plan, different platform, which is the paper's whole point.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, List, Optional
 
 import numpy as np
 import pandas as pd
 
 from repro.core.compression import CompressionSpec
-from repro.core.ops.base import ExecContext, SubOperator, concat_batches
+from repro.core.ops.base import ExecContext, SubOperator, concat_batches, tuples_of
 from repro.core.types import INT64, RowVector, RowVectorType, TupleType
 
 
@@ -43,10 +43,10 @@ class MpiExecutor(SubOperator):
     def out_type(self, in_types) -> Optional[TupleType]:
         return self.nested_plan.out_type(param_type=in_types[0])
 
-    def batches(self, ctx: ExecContext, ups) -> Iterator[pd.DataFrame]:
+    def batches(self, ctx: ExecContext, ups) -> Iterator[List[dict]]:
         from repro.mpi.simcluster import SimCluster
 
-        params = list(RowVector(concat_batches(list(ups[0]))).iter_rows())
+        params = [t for batch in ups[0] for t in tuples_of(batch)]
         cluster = SimCluster(len(params))
         ctx.extra["last_cluster"] = cluster  # exposes network stats to harnesses
 
@@ -59,10 +59,7 @@ class MpiExecutor(SubOperator):
                 )
             return out[0]
 
-        results = cluster.run(rank_main, params)
-        yield pd.DataFrame(
-            {k: pd.Series([r[k] for r in results], dtype=object) for k in results[0]}
-        )
+        yield cluster.run(rank_main, params)
 
 
 class MpiHistogram(SubOperator):
@@ -139,7 +136,7 @@ class MpiExchange(SubOperator):
             t = TupleType([(self.compression.out_field, INT64)])
         return TupleType([(self.pid_field, INT64), (self.data_field, RowVectorType(t))])
 
-    def batches(self, ctx: ExecContext, ups) -> Iterator[pd.DataFrame]:
+    def batches(self, ctx: ExecContext, ups) -> Iterator[List[dict]]:
         from repro.core import radix
         from repro.mpi.simcluster import LocalComm
 
@@ -173,19 +170,18 @@ class MpiExchange(SubOperator):
                 comm.put(win, int(owners[p]), int(base[p] + my_offsets[p]), frames[p])
         comm.fence(win)
 
-        rows = {self.pid_field: [], self.data_field: []}
+        out = []
         start = 0
         for p in my_parts:
             stop = start + int(global_hist[p])
-            rows[self.pid_field].append(int(p))
-            rows[self.data_field].append(RowVector(win.local_frame(comm.rank, start, stop)))
+            out.append(
+                {
+                    self.pid_field: int(p),
+                    self.data_field: RowVector(win.local_frame(comm.rank, start, stop)),
+                }
+            )
             start = stop
-        yield pd.DataFrame(
-            {
-                self.pid_field: pd.array(rows[self.pid_field], dtype="int64"),
-                self.data_field: pd.Series(rows[self.data_field], dtype=object),
-            }
-        )
+        yield out
 
     def _pids(self, data: pd.DataFrame) -> np.ndarray:
         if self.bucket_batch_fn is not None and len(data):

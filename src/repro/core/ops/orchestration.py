@@ -6,11 +6,9 @@ sub-operators can be reused at any nesting level.
 """
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, List, Optional
 
-import pandas as pd
-
-from repro.core.ops.base import ExecContext, SubOperator
+from repro.core.ops.base import ExecContext, SubOperator, tuples_of
 from repro.core.types import TupleType
 
 
@@ -35,10 +33,8 @@ class ParameterLookup(SubOperator):
             raise RuntimeError("ParameterLookup evaluated without plan parameters")
         yield dict(ctx.params)
 
-    def batches(self, ctx: ExecContext, ups) -> Iterator[pd.DataFrame]:
-        if ctx.params is None:
-            raise RuntimeError("ParameterLookup evaluated without plan parameters")
-        yield pd.DataFrame({k: pd.Series([v], dtype=object) for k, v in ctx.params.items()})
+    def batches(self, ctx: ExecContext, ups) -> Iterator[List[dict]]:
+        yield list(self.rows(ctx, ups))
 
 
 class NestedMap(SubOperator):
@@ -64,18 +60,14 @@ class NestedMap(SubOperator):
             out = ctx.run_nested_rows(self.nested_plan, ctx.child(t))
             yield _single(out, self)
 
-    def batches(self, ctx: ExecContext, ups) -> Iterator[pd.DataFrame]:
-        from repro.core.types import RowVector
-
-        for pdf in ups[0]:
-            outs = []
-            for t in RowVector(pdf).iter_rows():
-                out = ctx.run_nested_batches(self.nested_plan, ctx.child(t))
-                outs.append(_single(out, self))
+    def batches(self, ctx: ExecContext, ups) -> Iterator[List[dict]]:
+        for batch in ups[0]:
+            outs = [
+                _single(ctx.run_nested_batches(self.nested_plan, ctx.child(t)), self)
+                for t in tuples_of(batch)
+            ]
             if outs:
-                yield pd.DataFrame(
-                    {k: pd.Series([o[k] for o in outs], dtype=object) for k in outs[0]}
-                )
+                yield outs
 
 
 def _single(out_rows, op) -> dict:

@@ -11,8 +11,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence
 import numpy as np
 import pandas as pd
 
-from repro.core.ops.base import ExecContext, SubOperator, concat_batches
-from repro.core.types import TupleType
+from repro.core.ops.base import Batch, SubOperator, concat_batches, frame_of, tuples_of
+from repro.core.types import RowVector, TupleType
 
 
 class Map(SubOperator):
@@ -45,11 +45,11 @@ class Map(SubOperator):
             yield self.row_fn(t)
 
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        for pdf in ups[0]:
+        for batch in ups[0]:
             if self.batch_fn is not None:
-                yield self.batch_fn(pdf)
+                yield self.batch_fn(frame_of(batch))
             else:
-                yield _apply_rowwise(pdf, self.row_fn)
+                yield _apply_rowwise(batch, self.row_fn)
 
 
 class ParametrizedMap(SubOperator):
@@ -89,15 +89,12 @@ class ParametrizedMap(SubOperator):
             yield self.row_fn(t, param)
 
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        from repro.core.types import RowVector
-
-        param_pdf = concat_batches(list(ups[0]))
-        param = self._param_rows(RowVector(param_pdf).iter_rows())
-        for pdf in ups[1]:
+        param = self._param_rows(t for batch in ups[0] for t in tuples_of(batch))
+        for batch in ups[1]:
             if self.batch_fn is not None:
-                yield self.batch_fn(pdf, param)
+                yield self.batch_fn(frame_of(batch), param)
             else:
-                yield _apply_rowwise(pdf, lambda t: self.row_fn(t, param))
+                yield _apply_rowwise(batch, lambda t: self.row_fn(t, param))
 
 
 class Projection(SubOperator):
@@ -116,9 +113,12 @@ class Projection(SubOperator):
         for t in ups[0]:
             yield {f: t[f] for f in self.fields}
 
-    def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        for pdf in ups[0]:
-            yield pdf[self.fields]
+    def batches(self, ctx, ups) -> Iterator[Batch]:
+        for batch in ups[0]:
+            if isinstance(batch, list):
+                yield [{f: t[f] for f in self.fields} for t in batch]
+            else:
+                yield batch[self.fields]
 
 
 class CartesianProduct(SubOperator):
@@ -142,13 +142,19 @@ class CartesianProduct(SubOperator):
                 _check_distinct(l, r)
                 yield {**l, **r}
 
-    def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        left = concat_batches(list(ups[0]))
+    def batches(self, ctx, ups) -> Iterator[Batch]:
+        lefts = list(ups[0])
+        control = all(isinstance(b, list) for b in lefts)
+        left = [t for b in lefts for t in b] if control else concat_batches(lefts)
         for right in ups[1]:
-            overlap = set(left.columns) & set(right.columns)
+            if control and isinstance(right, list):
+                yield list(self.rows(ctx, [left, right]))
+                continue
+            lf, rf = frame_of(left), frame_of(right)
+            overlap = set(lf.columns) & set(rf.columns)
             if overlap:
                 raise RuntimeError(f"CartesianProduct field overlap: {sorted(overlap)}")
-            yield left.merge(right, how="cross")
+            yield lf.merge(rf, how="cross")
 
 
 class Filter(SubOperator):
@@ -175,9 +181,7 @@ class Filter(SubOperator):
                 yield t
 
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        from repro.core.types import RowVector
-
-        for pdf in ups[0]:
+        for pdf in map(frame_of, ups[0]):
             if self.batch_pred is not None:
                 mask = np.asarray(self.batch_pred(pdf), dtype=bool)
             else:
@@ -223,10 +227,8 @@ class Reduce(SubOperator):
             yield acc
 
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        from repro.core.types import RowVector
-
         acc: Optional[dict] = None
-        for pdf in ups[0]:
+        for pdf in map(frame_of, ups[0]):
             if not len(pdf):
                 continue
             if self.batch_fn is not None:
@@ -334,8 +336,12 @@ class Zip(SubOperator):
                 out.update(p)
             yield out
 
-    def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        mats = [concat_batches(list(u)) for u in ups]
+    def batches(self, ctx, ups) -> Iterator[Batch]:
+        ins = [list(u) for u in ups]
+        if all(isinstance(b, list) for u in ins for b in u):
+            yield list(self.rows(ctx, [[t for b in u for t in b] for u in ins]))
+            return
+        mats = [concat_batches(u) for u in ins]
         lengths = {len(m) for m in mats}
         if len(lengths) > 1:
             raise RuntimeError(
@@ -387,7 +393,7 @@ class LocalHistogram(SubOperator):
 
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
         counts = np.zeros(self.n_buckets, dtype=np.int64)
-        for pdf in ups[0]:
+        for pdf in map(frame_of, ups[0]):
             if not len(pdf):
                 continue
             ids = np.asarray(self._bucket_ids(pdf))
@@ -399,8 +405,6 @@ class LocalHistogram(SubOperator):
         )
 
     def _bucket_ids(self, pdf: pd.DataFrame) -> np.ndarray:
-        from repro.core.types import RowVector
-
         if self.bucket_batch_fn is not None:
             return self.bucket_batch_fn(pdf)
         return np.fromiter(
@@ -418,7 +422,7 @@ class BuildProbe(SubOperator):
     (matching combinations), 'semi'/'anti' (probe-side tuples with/without a
     match), and 'outer' (inner plus unmatched probe tuples padded with NA).
     Output fields: join attributes, remaining left fields, remaining right
-    fields — names must be distinct.
+    fields — names must be distinct. As in SQL, a NULL key matches nothing.
     """
 
     op_name = "BP"
@@ -451,10 +455,11 @@ class BuildProbe(SubOperator):
         table: Dict[tuple, List[dict]] = {}
         for t in ups[0]:
             k = tuple(t[f] for f in self.keys)
-            table.setdefault(k, []).append({f: v for f, v in t.items() if f not in self.keys})
+            if not _has_null(k):
+                table.setdefault(k, []).append({f: v for f, v in t.items() if f not in self.keys})
         for t in ups[1]:
             k = tuple(t[f] for f in self.keys)
-            hit = k in table
+            hit = not _has_null(k) and k in table
             if self.join_type == "semi":
                 if hit:
                     yield t
@@ -475,6 +480,14 @@ class BuildProbe(SubOperator):
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
         left = concat_batches(list(ups[0]))
         rest_l = [c for c in left.columns if c not in self.keys]
+        # pandas merge matches NULL keys to each other; SQL matches them to
+        # nothing, so NULL-keyed build tuples can never join. Integer and
+        # boolean columns cannot hold NULLs.
+        nullable = [k for k in self.keys if left[k].dtype.kind not in "iub"]
+        if nullable:
+            valid = left[nullable].notna().all(axis=1).to_numpy()
+            if not valid.all():
+                left = left[valid]
         # fast path: inner join on one integer key via sort + searchsorted
         # (the same low-level technique the monolithic operator uses)
         fast = (
@@ -487,7 +500,7 @@ class BuildProbe(SubOperator):
             order = np.argsort(left[key].to_numpy(), kind="stable")
             bk = left[key].to_numpy()[order]
             bcols = {c: left[c].to_numpy()[order] for c in rest_l}
-        for right in ups[1]:
+        for right in map(frame_of, ups[1]):
             rest_r = [c for c in right.columns if c not in self.keys]
             overlap = set(rest_l) & set(rest_r)
             if overlap:
@@ -516,23 +529,23 @@ class BuildProbe(SubOperator):
                 yield out[self.keys + rest_l + rest_r]
 
 
-def _apply_rowwise(pdf: pd.DataFrame, fn: Callable[[dict], dict]) -> pd.DataFrame:
-    from repro.core.types import RowVector
-
-    rows = [fn(t) for t in RowVector(pdf).iter_rows()]
+def _apply_rowwise(batch: Batch, fn: Callable[[dict], dict]) -> pd.DataFrame:
+    rows = [fn(t) for t in tuples_of(batch)]
     if rows:
         return pd.DataFrame(rows)
-    return pdf.iloc[:0]
+    return frame_of(batch).iloc[:0]
 
 
 def _fold_rows(pdf: pd.DataFrame, row_fn: Callable[[dict, dict], dict]) -> dict:
-    from repro.core.types import RowVector
-
     acc: Optional[dict] = None
     for t in RowVector(pdf).iter_rows():
         acc = t if acc is None else row_fn(acc, t)
     assert acc is not None
     return acc
+
+
+def _has_null(key: tuple) -> bool:
+    return any(pd.isna(v) for v in key)
 
 
 def _check_distinct(a: dict, b: dict) -> None:

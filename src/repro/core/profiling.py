@@ -70,8 +70,6 @@ class Profiler:
                 except StopIteration:
                     self.pop()
                     return
-                finally:
-                    pass
                 self.pop()
                 yield item
 

@@ -1,6 +1,8 @@
 """Vectorized batch evaluator — the JIT-compilation analogue.
 
-Executes a sub-operator plan over pandas DataFrame batches. Where the paper
+Executes a sub-operator plan over batches (see ``repro.core.ops.base``): a
+pandas DataFrame of data tuples, or a plain list of control-tuple dicts
+(parameter tuples, nested-plan results, partition lists). Where the paper
 lowers each pipeline to LLVM IR (removing per-tuple function calls from
 inner loops), this evaluator removes the per-tuple Python dispatch by
 running each operator's numpy/pandas kernel over whole batches. The small
@@ -17,26 +19,25 @@ from typing import Dict, Iterator, List, Optional
 
 import pandas as pd
 
-from repro.core.ops.base import ExecContext, SubOperator, concat_batches
+from repro.core.ops.base import Batch, ExecContext, SubOperator, concat_batches, tuples_of
 from repro.core.plan import Plan
-from repro.core.types import RowVector
 
 
 def iter_batches(
     plan: Plan, ctx: Optional[ExecContext] = None, params: Optional[dict] = None
-) -> Iterator[pd.DataFrame]:
+) -> Iterator[Batch]:
     ctx = _prepare(ctx, params)
     consumers = plan.consumer_counts()
-    cache: Dict[SubOperator, List[pd.DataFrame]] = {}
+    cache: Dict[SubOperator, List[Batch]] = {}
 
-    def stream(op: SubOperator) -> Iterator[pd.DataFrame]:
+    def stream(op: SubOperator) -> Iterator[Batch]:
         if consumers[op] > 1:
             if op not in cache:
                 cache[op] = list(generate(op))
             return iter(cache[op])
         return generate(op)
 
-    def generate(op: SubOperator) -> Iterator[pd.DataFrame]:
+    def generate(op: SubOperator) -> Iterator[Batch]:
         ups = [stream(u) for u in op.upstreams]
         gen = op.batches(ctx, ups)
         if ctx.profiler is not None:
@@ -56,8 +57,9 @@ def run_to_pdf(
 def run_rows(
     plan: Plan, ctx: Optional[ExecContext] = None, params: Optional[dict] = None
 ) -> List[dict]:
-    """Execute ``plan`` vectorized but return row dicts (nested-plan hook)."""
-    return list(RowVector(run_to_pdf(plan, ctx, params)).iter_rows())
+    """Execute ``plan`` vectorized but return row dicts (nested-plan hook);
+    control batches are returned as they are, without a frame round trip."""
+    return [t for b in iter_batches(plan, ctx, params) for t in tuples_of(b)]
 
 
 def _prepare(ctx: Optional[ExecContext], params: Optional[dict]) -> ExecContext:

@@ -6,12 +6,15 @@ import pytest
 from repro.core import Plan, RowVector
 from repro.core import interp, vectorized
 from repro.core.ops import (
+    CartesianProduct,
     LocalHistogram,
     LocalPartitioning,
     MaterializeRowVector,
+    NestedMap,
     ParameterLookup,
     Projection,
     RowScan,
+    Zip,
 )
 from tests.helpers import assert_same_rows, params_of, run_both, source
 
@@ -47,7 +50,7 @@ class TestRowScan:
             interp.run_rows(Plan(root), params={"d": 42})
 
 
-def lp_plan(n=4):
+def lp_plan(n=4, **fields):
     data = source("t")
     hist = LocalHistogram(
         source("t"), n_buckets=n,
@@ -58,6 +61,7 @@ def lp_plan(n=4):
         data, hist, n_partitions=n,
         bucket_fn=lambda t: t["k"] % n,
         bucket_batch_fn=lambda pdf: (pdf["k"] % n).to_numpy(),
+        **fields,
     )
 
 
@@ -100,3 +104,50 @@ class TestLocalPartitioning:
         assert len(rows) == 4
         assert len(rows[0]["partition_data"]) == 2
         assert all(len(rows[p]["partition_data"]) == 0 for p in (1, 2, 3))
+
+
+def count_partition_plan():
+    """Nested plan over one <partition_id, partition_data> tuple: tag the
+    partition's tuple count with its id."""
+    pl = ParameterLookup()
+    data = RowScan(Projection(pl, ["partition_data"]), "partition_data")
+    count = LocalHistogram(
+        data, n_buckets=1, bucket_fn=lambda t: 0,
+        bucket_batch_fn=lambda pdf: np.zeros(len(pdf), dtype=np.int64),
+    )
+    return Plan(MaterializeRowVector(
+        CartesianProduct(Projection(pl, ["partition_id"]), count), field="out"
+    ))
+
+
+class TestControlTuples:
+    """Both evaluators agree on the control-level shapes: partition lists,
+    parameter tuples and nested-plan results."""
+
+    def test_empty_partitions_feed_nested_map(self):
+        df = pd.DataFrame({"k": [0, 0, 2], "v": [1, 2, 3]})
+        root = RowScan(NestedMap(lp_plan(), count_partition_plan()), "out")
+        r, v = run_both(Plan(root), params=params_of(t=df))
+        assert_same_rows(r, v)
+        assert sorted((t["partition_id"], t["count"]) for t in r) == [(0, 2), (1, 0), (2, 1), (3, 0)]
+
+    def test_nested_map_over_empty_upstream(self):
+        frame = pd.DataFrame({"partition_id": pd.Series([], dtype="int64"),
+                              "partition_data": pd.Series([], dtype=object)})
+        plan = Plan(RowScan(NestedMap(source("parts"), count_partition_plan()), "out"))
+        assert run_both(plan, params=params_of(parts=frame)) == ([], [])
+
+    def test_zip_and_cartesian_product_over_control_tuples(self):
+        def tagged(sfx):
+            lp = lp_plan(pid_field=f"pid_{sfx}", data_field=f"data_{sfx}")
+            return CartesianProduct(Projection(ParameterLookup(), [f"tag_{sfx}"]), lp)
+
+        root = Projection(Zip([tagged("a"), tagged("b")]), ["tag_a", "pid_a", "tag_b", "pid_b"])
+        params = params_of(t=KV) | {"tag_a": "x", "tag_b": "y"}
+        r, v = run_both(Plan(root), params=params)
+        assert r == v
+        assert r == [{"tag_a": "x", "pid_a": p, "tag_b": "y", "pid_b": p} for p in range(4)]
+
+    def test_partition_ids_are_python_ints(self):
+        rows = vectorized.run_rows(Plan(lp_plan()), params=params_of(t=KV))
+        assert [type(t["partition_id"]) for t in rows] == [int] * 4

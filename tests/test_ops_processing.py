@@ -17,6 +17,7 @@ from repro.core.ops import (
     ReduceByKey,
     Zip,
 )
+from repro.oracle import assert_equivalent
 from tests.helpers import assert_same_rows, params_of, run_both, source
 
 
@@ -266,3 +267,18 @@ class TestBuildProbe:
         r = pd.DataFrame({"a": [1, 1], "b": [2, 3], "rv": [5, 6]})
         rows = run_plan(BuildProbe(source("l"), source("r"), keys=["a", "b"]), l=l, r=r)
         assert rows == [{"a": 1, "b": 2, "lv": 20, "rv": 5}]
+
+    NULL_SQL = {
+        "inner": "SELECT l.k, lv, rv FROM l JOIN r ON l.k = r.k",
+        "semi": "SELECT * FROM r WHERE EXISTS (SELECT 1 FROM l WHERE l.k = r.k)",
+        "anti": "SELECT * FROM r WHERE NOT EXISTS (SELECT 1 FROM l WHERE l.k = r.k)",
+        "outer": "SELECT r.k, lv, rv FROM l RIGHT JOIN r ON l.k = r.k",
+    }
+
+    @pytest.mark.parametrize("join_type", sorted(NULL_SQL))
+    def test_null_keys_match_nothing(self, join_type):
+        l = pd.DataFrame({"k": ["a", None, "b"], "lv": [1, 2, 3]})
+        r = pd.DataFrame({"k": ["a", None, "c"], "rv": [10, 20, 30]})
+        plan = Plan(BuildProbe(source("l"), source("r"), keys=["k"], join_type=join_type))
+        for rows in run_both(plan, params=params_of(l=l, r=r)):
+            assert_equivalent(pd.DataFrame(rows), self.NULL_SQL[join_type], l=l, r=r)
