@@ -9,12 +9,16 @@ sub-operator          Catalyst physical stage
 ===================  =====================================================
 MpiExecutor           the Spark job itself (ranks = shuffle partitions)
 LocalHistogram +
-MpiHistogram          ``groupBy('__pid').count()`` + driver collect
-                      (aggregate + AllReduce)
+MpiHistogram          nothing: Spark's shuffle sizes its own partitions
 MpiExchange           the shuffle exchange induced by ``groupBy('__pid')``
                       (pid column computed in the pre-exchange pipeline,
                       optionally compressed to one 64-bit word)
 ===================  =====================================================
+
+Every Spark schema comes from the plan's static tuple types (``spark_schema``):
+the rank inputs are typed from the input DataFrames' schemas and the types
+propagate through the plan, so lowering is pure plan surgery that starts no
+Spark job. An operator without a static output type is a ``TypeError``.
 
 Everything else is platform-agnostic and reused verbatim:
 
@@ -44,18 +48,22 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
 from repro.core import interp, vectorized
 from repro.core.ops.base import ExecContext, SubOperator, concat_batches
 from repro.core.ops.matscan import MaterializeRowVector, RowScan
 from repro.core.ops.network import MpiExchange, MpiExecutor
 from repro.core.ops.orchestration import NestedMap, ParameterLookup
-from repro.core.ops.processing import Filter, Map, ParametrizedMap, Projection, Reduce, ReduceByKey, Zip
+from repro.core.ops.processing import ParametrizedMap, Projection, Reduce, ReduceByKey, Zip
 from repro.core.plan import Plan
-from repro.core.types import RowVector
+from repro.core.types import BOOL, DATE, FLOAT64, INT64, STR, RowVector, RowVectorType, TupleType
 
-_SAMPLE_ROWS = 200
 _NATIVE_AGGS = {"sum": F.sum, "min": F.min, "max": F.max, "count": F.count}
+_SPARK_ATOMS = {
+    INT64: T.LongType(), FLOAT64: T.DoubleType(), STR: T.StringType(),
+    DATE: T.TimestampType(), BOOL: T.BooleanType(),
+}
 
 
 @dataclass
@@ -65,10 +73,10 @@ class Lowered:
     spark: SparkSession
     #: one pre-exchange DataFrame per side, carrying ``__pid``
     pre: List[DataFrame]
-    #: the lowered LocalHistogram+MpiHistogram stage per side
-    histograms: List[DataFrame]
     #: the NestedMap output (flattened inner results, post-shuffle)
     inner: DataFrame
+    #: the schema of the plan's result
+    schema: T.StructType
     #: post ops (rank- then driver-level) still to apply, application order
     post_ops: List[SubOperator] = field(default_factory=list)
 
@@ -89,7 +97,7 @@ class Lowered:
             pdf = df.toPandas()
             for op in pending:
                 pdf = _apply_chain([op], pdf, "vectorized")
-            df = self.spark.createDataFrame(pdf)
+            df = self.spark.createDataFrame(pdf.reindex(columns=self.schema.names), self.schema)
         return df
 
 
@@ -98,14 +106,9 @@ def lower_distributed_plan(
     plan: Plan,
     relations: Dict[str, DataFrame],
     engine: str = "vectorized",
-    inner_schema: Optional[str] = None,
 ) -> Lowered:
     """Compile a canonical distributed plan (see ``repro.modular``) into
-    Spark stages over the given input DataFrames.
-
-    ``inner_schema`` (DDL string) overrides sample-based schema inference
-    for the nested-plan output — needed when the query is selective enough
-    that a sample partition aggregates to an empty frame."""
+    Spark stages over the given input DataFrames."""
     if engine not in ("vectorized", "interpreted"):
         raise ValueError(f"unknown engine {engine!r}")
     me, driver_ops = _split_top(plan)
@@ -113,44 +116,35 @@ def lower_distributed_plan(
     inner_plan = nm1.nested_plan
     inner_field = _root_field(inner_plan)
 
-    pre_dfs: List[DataFrame] = []
-    pre_samples: List[pd.DataFrame] = []
-    for ex in exchanges:
-        pre_ops, rel_name = _pre_chain(ex)
+    chains = [_pre_chain(ex) for ex in exchanges]
+    rank_fields = {}
+    for _, rel_name in chains:
         if rel_name not in relations:
             raise KeyError(f"plan reads relation {rel_name!r}, not provided")
-        src = relations[rel_name]
-        sample = _sample_through(src, pre_ops, ex, engine)
-        schema = spark.createDataFrame(sample).schema
-        fn = _make_pre_fn(pre_ops, ex, engine)
-        pre_dfs.append(src.mapInPandas(fn, schema=schema))
-        pre_samples.append(sample)
-
-    histograms = [df.groupBy("__pid").count() for df in pre_dfs]
-
-    if inner_schema is None:
-        inner_sample = _run_inner(
-            inner_plan, inner_field, 0,
-            [(ex, s.drop(columns="__pid")) for ex, s in zip(exchanges, pre_samples)],
-            "vectorized",
+        rank_fields[rel_name] = RowVectorType(_tuple_type(relations[rel_name].schema))
+    rank_type = TupleType(list(rank_fields.items()))
+    types = plan.types(TupleType([("rank_inputs", RowVectorType(rank_type))]))
+    untyped = next((op for op, t in types.items() if t is None), None)
+    if untyped is not None:
+        raise TypeError(
+            f"{type(untyped).__name__} ({untyped.op_name}) in plan {plan.name!r} has no "
+            "static output type; Spark lowering needs one (declared_type)"
         )
-        if len(inner_sample):
-            schema = spark.createDataFrame(inner_sample).schema
-        else:
-            # sampled partitions may join/filter to nothing — derive the
-            # schema from the (typed) empty frame's dtypes instead
-            schema = _schema_from_dtypes(inner_sample)
-    else:
-        from pyspark.sql.types import StructType
 
-        schema = StructType.fromDDL(inner_schema)
+    pre_dfs: List[DataFrame] = []
+    for ex, (pre_ops, rel_name) in zip(exchanges, chains):
+        wire = spark_schema(types[ex].field_type(ex.data_field).tuple_type)
+        fn = _make_pre_fn(pre_ops, ex, engine)
+        pre_dfs.append(relations[rel_name].mapInPandas(fn, schema=wire.add("__pid", T.LongType())))
+
+    schema = spark_schema(types[nm1].field_type(inner_field).tuple_type)
     inner_df = _lower_nested(spark, pre_dfs, exchanges, inner_plan, inner_field, schema, engine)
 
     return Lowered(
         spark=spark,
         pre=pre_dfs,
-        histograms=histograms,
         inner=inner_df,
+        schema=spark_schema(types[plan.root]),
         post_ops=rank_ops + driver_ops,
     )
 
@@ -160,10 +154,32 @@ def run_distributed_on_spark(
     plan: Plan,
     relations: Dict[str, DataFrame],
     engine: str = "vectorized",
-    inner_schema: Optional[str] = None,
 ) -> DataFrame:
     """One-call convenience: lower and produce the final DataFrame."""
-    return lower_distributed_plan(spark, plan, relations, engine, inner_schema).result()
+    return lower_distributed_plan(spark, plan, relations, engine).result()
+
+
+# ---------------------------------------------------------------------------
+# static types
+# ---------------------------------------------------------------------------
+
+def spark_schema(t: TupleType) -> T.StructType:
+    """The Spark schema of a flat tuple type."""
+    fields = []
+    for name, item in t.fields:
+        if item not in _SPARK_ATOMS:
+            raise TypeError(f"field {name!r} of type {item!r} has no Spark column type")
+        fields.append(T.StructField(name, _SPARK_ATOMS[item]))
+    return T.StructType(fields)
+
+
+def _tuple_type(schema: T.StructType) -> TupleType:
+    """The tuple type of an input relation's Spark schema."""
+    atoms = {spark_t: atom for atom, spark_t in _SPARK_ATOMS.items()}
+    for f in schema.fields:
+        if f.dataType not in atoms:
+            raise TypeError(f"input column {f.name!r} of Spark type {f.dataType} has no atom")
+    return TupleType([(f.name, atoms[f.dataType]) for f in schema.fields])
 
 
 # ---------------------------------------------------------------------------
@@ -239,24 +255,6 @@ def _root_field(inner_plan: Plan) -> str:
     return root.field
 
 
-def _schema_from_dtypes(pdf: pd.DataFrame):
-    """Spark schema from pandas dtypes (usable on empty frames)."""
-    from pyspark.sql import types as T
-
-    mapping = {"i": T.LongType(), "u": T.LongType(), "f": T.DoubleType(),
-               "b": T.BooleanType(), "M": T.TimestampType()}
-    fields = [
-        T.StructField(c, mapping.get(pdf[c].dtype.kind, T.StringType()))
-        for c in pdf.columns
-    ]
-    if not fields:
-        raise ValueError(
-            "nested-plan sample produced an empty, column-less frame; pass "
-            "inner_schema explicitly"
-        )
-    return T.StructType(fields)
-
-
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
@@ -300,19 +298,6 @@ def _make_pre_fn(pre_ops: Sequence[SubOperator], ex: MpiExchange, engine: str) -
                 yield _pid_and_compress(out, ex)
 
     return fn
-
-
-def _sample_through(
-    src: DataFrame, pre_ops: Sequence[SubOperator], ex: MpiExchange, engine: str
-) -> pd.DataFrame:
-    """Schema probe: run the pipeline on a small sample. Filters never
-    change the schema, so they are skipped to keep the sample non-empty."""
-    sample = src.limit(_SAMPLE_ROWS).toPandas()
-    ops = [op for op in pre_ops if not isinstance(op, Filter)]
-    out = _apply_chain(ops, sample, "vectorized")
-    if not len(out):
-        raise ValueError("cannot derive schema from an empty input relation")
-    return _pid_and_compress(out, ex)
 
 
 def _decompress_wire(pdf: pd.DataFrame, ex: MpiExchange) -> pd.DataFrame:

@@ -1,14 +1,14 @@
-"""Plan DAG: validation, type propagation, and pipeline cutting.
+"""Plan DAG: validation, type propagation and consumer counts.
 
-A plan is a DAG of sub-operators rooted at one operator. Before execution
-the DAG is cut into tree-shaped *pipelines* at materialization points
-(operators with several consumers, plus the root); inside a pipeline, the
-sub-plan is a tree and runs in the iterator model (paper Section 3.2).
-The evaluators materialize multi-consumer results exactly at these points.
+A plan is a DAG of sub-operators rooted at one operator. The evaluators
+cut it into tree-shaped *pipelines* at materialization points: every
+operator with several consumers (``consumer_counts``) is materialized
+once, and inside a pipeline the sub-plan runs in the iterator model
+(paper Section 3.2).
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.core.ops.base import SubOperator
 from repro.core.ops.orchestration import ParameterLookup
@@ -34,48 +34,28 @@ class Plan:
                 counts[u] += 1
         return counts
 
-    def materialization_points(self) -> List[SubOperator]:
-        """Operators whose result is materialized: multi-consumer ops + root."""
-        counts = self.consumer_counts()
-        pts = [op for op in self._ops if counts[op] > 1]
-        if self.root not in pts:
-            pts.append(self.root)
-        return pts
-
-    def pipelines(self) -> List[List[SubOperator]]:
-        """Cut the DAG into tree-shaped pipelines. Each pipeline ends at a
-        materialization point and contains every operator reachable upward
-        without crossing another materialization point."""
-        mat = set(self.materialization_points())
-        out: List[List[SubOperator]] = []
-        for end in self.materialization_points():
-            seen: List[SubOperator] = []
-
-            def walk(op: SubOperator) -> None:
-                seen.append(op)
-                for u in op.upstreams:
-                    if u not in mat:
-                        walk(u)
-
-            walk(end)
-            out.append(seen)
-        return out
+    def types(self, param_type: Optional[TupleType] = None) -> Dict[SubOperator, Optional[TupleType]]:
+        """Static output type of every operator of this plan and of its
+        nested plans; None where unknown. Each operator comes after its
+        upstreams and its nested plan's operators, so the first None is an
+        operator that cannot type its (typed) inputs."""
+        types: Dict[SubOperator, Optional[TupleType]] = {}
+        for op in self._ops:
+            ins = [types[u] for u in op.upstreams]
+            if isinstance(op, ParameterLookup):
+                types[op] = op.declared_type or param_type
+            elif hasattr(op, "nested_plan"):
+                nested = op.nested_plan.types(ins[0])
+                types.update(nested)
+                types[op] = nested[op.nested_plan.root]
+            else:
+                types[op] = op.out_type(ins)
+        return types
 
     def out_type(self, param_type: Optional[TupleType] = None) -> Optional[TupleType]:
-        """Best-effort static type propagation (None where dynamic)."""
-        memo: Dict[SubOperator, Optional[TupleType]] = {}
-
-        def typ(op: SubOperator) -> Optional[TupleType]:
-            if op in memo:
-                return memo[op]
-            if isinstance(op, ParameterLookup):
-                t = op.declared_type or param_type
-            else:
-                t = op.out_type([typ(u) for u in op.upstreams])
-            memo[op] = t
-            return t
-
-        return typ(self.root)
+        """Static type propagation; None where an operator's output type
+        is unknown (the Spark lowering rejects such plans)."""
+        return self.types(param_type)[self.root]
 
     def render(self) -> str:
         """Compact textual rendering of the DAG (for docs and debugging)."""

@@ -11,9 +11,11 @@ nested ``TupleType``. ``RowVector`` is the physical collection format used
 throughout this reproduction: a thin wrapper around a pandas DataFrame (the
 batch analogue of the paper's C-array-of-C-structs).
 
-Typing is *best-effort*: operators whose output type depends on opaque user
-functions (``Map``) may declare their output type explicitly or propagate
-``None`` (unknown), in which case downstream static checks are skipped.
+Operators whose output type depends on opaque user functions (``Map``,
+``ParametrizedMap``) declare it (``declared_type``); without a declaration
+the type is ``None`` (unknown) and propagates as such. The Spark lowering
+needs complete types — it derives every schema from them — and rejects a
+plan with an unknown type along its lowering path.
 """
 from __future__ import annotations
 

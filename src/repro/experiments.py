@@ -15,7 +15,7 @@ import numpy as np
 import pandas as pd
 
 from repro import sloc
-from repro.core.lower import lower_distributed_plan, run_distributed_on_spark
+from repro.core.lower import run_distributed_on_spark
 from repro.modular.common import JoinConfig
 from repro.modular.groupby import distributed_groupby_plan
 from repro.modular.join import distributed_join_plan
@@ -284,12 +284,7 @@ def fig9_tpch(spark, sf: float = 0.1, repeat: int = 3, queries: Optional[Sequenc
                 continue
             relations = {f: tables[t] for f, t in q.table_map.items()}
             plan = q.build_plan(cfg)
-            t_mod = timeit(
-                lambda: run_distributed_on_spark(
-                    spark, plan, relations, inner_schema=q.inner_schema
-                ).collect(),
-                repeat,
-            )
+            t_mod = timeit(lambda: run_distributed_on_spark(spark, plan, relations).collect(), repeat)
             # the interpreted engine is 1-2 orders of magnitude slower; a
             # single cold run suffices (variance is tiny relative to the gap)
             t_presto = timeit(

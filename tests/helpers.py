@@ -1,6 +1,7 @@
 """Shared test helpers for building small sub-operator plans."""
 from __future__ import annotations
 
+import uuid
 from typing import List, Optional
 
 import pandas as pd
@@ -54,3 +55,18 @@ def sort_rows(rows: List[dict]) -> List[dict]:
 
 def assert_same_rows(a: List[dict], b: List[dict]) -> None:
     assert sort_rows(a) == sort_rows(b), f"\nA={sort_rows(a)[:5]}\nB={sort_rows(b)[:5]}"
+
+
+def lower_counting_jobs(spark, plan: Plan, relations: dict):
+    """Lower ``plan`` under its own Spark job group; returns the ``Lowered``
+    handles and the number of Spark jobs lowering started."""
+    from repro.core.lower import lower_distributed_plan
+
+    sc = spark.sparkContext
+    group = f"lowering-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, "lower_distributed_plan")
+    try:
+        lowered = lower_distributed_plan(spark, plan, relations)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    return lowered, len(sc.statusTracker().getJobIdsForGroup(group))

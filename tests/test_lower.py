@@ -1,17 +1,22 @@
 """Tests of the Spark (Catalyst) lowering: the same plan objects that run
 on the simulated MPI cluster execute as Spark stages, validated against the
-DuckDB oracle and against the SimCluster execution."""
+DuckDB oracle and against the SimCluster execution. Lowering derives every
+Spark schema from the plan's static types and starts no Spark job."""
+import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core.lower import lower_distributed_plan, run_distributed_on_spark
+from repro.core.ops import Filter, Map
 from repro.modular.common import JoinConfig
 from repro.modular.groupby import distributed_groupby_plan
 from repro.modular.join import distributed_join_plan
 from repro.modular.join_sequence import optimized_sequence_plan, relation_fields, value_fields
 from repro.mpi.thread_backend import run_on_sim
 from repro.oracle import assert_equivalent
-from repro.synth_data import dense_kv_pdf
+from repro.queries import QUERIES
+from repro.synth_data import dense_kv_pdf, lineitem_pdf, orders_pdf, part_pdf
+from tests.helpers import lower_counting_jobs
 
 
 N = 1 << 11
@@ -82,12 +87,9 @@ class TestJoinLowering:
             spark, distributed_join_plan(cfg),
             {"R": spark.createDataFrame(r), "S": spark.createDataFrame(s)},
         )
-        assert len(lowered.pre) == 2 and len(lowered.histograms) == 2
-        # the histogram stage is the lowered LocalHistogram+MpiHistogram:
-        hist = {row["__pid"]: row["count"] for row in lowered.histograms[0].collect()}
-        assert sum(hist.values()) == N
-        expect = (r["k"] % cfg.n_net).value_counts().to_dict()
-        assert hist == expect
+        assert len(lowered.pre) == 2
+        assert lowered.pre[0].columns == ["k", "vr", "__pid"]
+        assert lowered.inner.columns == ["k", "vr", "vs"]
 
     def test_missing_relation_rejected(self, spark, kv_frames):
         r, _ = kv_frames
@@ -96,6 +98,79 @@ class TestJoinLowering:
             lower_distributed_plan(
                 spark, distributed_join_plan(cfg), {"R": spark.createDataFrame(r)}
             )
+
+
+class TestStaticSchemas:
+    """Schemas come from the plan's types: no sample, no Spark job."""
+
+    @staticmethod
+    def _case(name):
+        """(plan, input frames) of one lowering case."""
+        if name.startswith("Q"):
+            q = next(q for q in QUERIES if q.name == name)
+            tables = {"lineitem": lineitem_pdf(sf=0.001), "orders": orders_pdf(sf=0.001),
+                      "part": part_pdf(sf=0.001)}
+            plan = q.build_plan(JoinConfig(n_net=4, loc_bits=2))
+            return plan, {f: tables[t] for f, t in q.table_map.items()}
+        kv = {"R": dense_kv_pdf(64, value_field="vr"), "S": dense_kv_pdf(64, value_field="vs")}
+        if name == "compressed_join":
+            return distributed_join_plan(JoinConfig(n_net=4, loc_bits=2, compress=True, p_bits=22)), kv
+        if name == "groupby":
+            return distributed_groupby_plan(JoinConfig(n_net=4, loc_bits=2)), {"T": dense_kv_pdf(64)}
+        rels = {f: dense_kv_pdf(64, value_field=v) for f, v in zip(relation_fields(2), value_fields(2))}
+        return optimized_sequence_plan(JoinConfig(n_net=4, loc_bits=1), 2), rels
+
+    @pytest.mark.parametrize(
+        "name", ["compressed_join", "groupby", "sequence3", "Q4", "Q12", "Q14", "Q19"]
+    )
+    def test_lowering_starts_no_spark_job(self, spark, name):
+        plan, pdfs = self._case(name)
+        relations = {f: spark.createDataFrame(pdf) for f, pdf in pdfs.items()}
+        _, jobs = lower_counting_jobs(spark, plan, relations)
+        assert jobs == 0
+
+    def test_untyped_operator_rejected(self, spark, kv_frames):
+        r, s = kv_frames
+        plan = distributed_join_plan(
+            JoinConfig(n_net=2, loc_bits=1),
+            pre_scan=lambda f, op: Map(op, row_fn=lambda t: t, batch_fn=lambda pdf: pdf),
+        )
+        with pytest.raises(TypeError, match=r"Map \(MP\) in plan 'distributed-join'"):
+            lower_distributed_plan(
+                spark, plan, {"R": spark.createDataFrame(r), "S": spark.createDataFrame(s)}
+            )
+
+
+class TestEmptyInputs:
+    def test_empty_relation(self, spark, kv_frames):
+        r, s = kv_frames
+        r_empty = r.iloc[:0]
+        cfg = JoinConfig(n_net=4, loc_bits=2)
+        out = run_distributed_on_spark(
+            spark, distributed_join_plan(cfg),
+            {"R": spark.createDataFrame(r_empty, "k long, vr long"), "S": spark.createDataFrame(s)},
+        )
+        assert_equivalent(
+            out, "SELECT r.k AS k, vr, vs FROM r JOIN s ON r.k = s.k", r=r_empty, s=s
+        )
+
+    def test_filter_drops_every_row(self, spark, kv_frames):
+        r, s = kv_frames
+
+        def drop_s(field, op):
+            if field != "S":
+                return op
+            return Filter(op, row_pred=lambda t: False,
+                          batch_pred=lambda pdf: np.zeros(len(pdf), dtype=bool))
+
+        cfg = JoinConfig(n_net=4, loc_bits=2)
+        out = run_distributed_on_spark(
+            spark, distributed_join_plan(cfg, pre_scan=drop_s),
+            {"R": spark.createDataFrame(r), "S": spark.createDataFrame(s)},
+        )
+        assert_equivalent(
+            out, "SELECT r.k AS k, vr, vs FROM r JOIN s ON r.k = s.k WHERE false", r=r, s=s
+        )
 
 
 class TestGroupByLowering:

@@ -1,5 +1,4 @@
-"""Unit tests for the plan DAG: topology, pipeline cutting, typing."""
-import pandas as pd
+"""Unit tests for the plan DAG: topology, typing, rendering."""
 import pytest
 
 from repro.core import Plan
@@ -9,6 +8,7 @@ from repro.core.ops import (
     Filter,
     LocalHistogram,
     MaterializeRowVector,
+    NestedMap,
     ParameterLookup,
     Projection,
     ReduceByKey,
@@ -47,31 +47,6 @@ class TestTopology:
             Plan(f)
 
 
-class TestPipelines:
-    def test_tree_plan_is_single_pipeline(self):
-        plan = Plan(Filter(source("t"), row_pred=lambda t: True))
-        assert len(plan.pipelines()) == 1
-
-    def test_multi_consumer_cuts_pipeline(self):
-        s = source("t")
-        hist = LocalHistogram(s, 2, bucket_fn=lambda t: t["k"] % 2)
-        probe = BuildProbe(s, s, keys=["k"])  # s consumed three times in total
-        plan = Plan(Zip([hist, probe]))
-        mats = plan.materialization_points()
-        assert s in mats  # multi-consumer => materialized
-        # pipelines: one ending at s, one ending at root
-        assert len(plan.pipelines()) == 2
-
-    def test_pipeline_members_do_not_cross_materialization(self):
-        s = source("t")
-        h1 = LocalHistogram(s, 2, bucket_fn=lambda t: 0)
-        h2 = LocalHistogram(s, 2, bucket_fn=lambda t: 0)
-        plan = Plan(Zip([h1, h2]))
-        for pipe in plan.pipelines():
-            interior = [op for op in pipe[1:]]  # pipe[0] is its end point
-            assert s not in interior
-
-
 class TestTyping:
     def test_projection_type(self):
         pl = ParameterLookup(declared_type=kv_type())
@@ -105,6 +80,14 @@ class TestTyping:
 
         m = Map(ParameterLookup(declared_type=kv_type()), row_fn=lambda t: t)
         assert Plan(Filter(m, row_pred=lambda t: True)).out_type() is None
+
+    def test_types_cover_nested_plans(self):
+        inner = Plan(MaterializeRowVector(Projection(ParameterLookup(), ["k"]), field="d"))
+        nm = NestedMap(ParameterLookup(declared_type=kv_type()), inner)
+        types = Plan(nm).types()
+        wrapped = TupleType([("d", RowVectorType(TupleType([("k", INT64)])))])
+        assert types[inner.root] == types[nm] == wrapped
+        assert list(types).index(inner.root) < list(types).index(nm)
 
     def test_reduce_by_key_preserves_type(self):
         pl = ParameterLookup(declared_type=kv_type())

@@ -4,6 +4,7 @@ interpreted engine), checked against DuckDB."""
 import duckdb
 import pandas as pd
 import pytest
+from pyspark.sql.types import StructType
 
 from repro.core.lower import run_distributed_on_spark
 from repro.engines import MemSqlSim, run_presto_sim
@@ -12,6 +13,7 @@ from repro.mpi.thread_backend import run_on_sim
 from repro.oracle import assert_equivalent
 from repro.queries import QUERIES
 from repro.synth_data import lineitem_pdf, orders_pdf, part_pdf
+from tests.helpers import lower_counting_jobs
 
 SF = 0.004
 CFG = JoinConfig(n_net=4, loc_bits=2)
@@ -69,10 +71,16 @@ class TestOnSpark:
     def test_query_matches_oracle(self, spark, name, tables_pdf, tables_spark):
         q = QUERY[name]
         relations = {f: tables_spark[t] for f, t in q.table_map.items()}
-        out = run_distributed_on_spark(
-            spark, q.build_plan(CFG), relations, inner_schema=q.inner_schema
-        )
+        out = run_distributed_on_spark(spark, q.build_plan(CFG), relations)
         assert_equivalent(out, q.sql, **tables_pdf)
+
+    @pytest.mark.parametrize("name", ["Q4", "Q12", "Q14", "Q19"])
+    def test_nested_schema_derived_from_plan_types(self, spark, name, tables_spark):
+        q = QUERY[name]
+        relations = {f: tables_spark[t] for f, t in q.table_map.items()}
+        lowered, jobs = lower_counting_jobs(spark, q.build_plan(CFG), relations)
+        assert jobs == 0
+        assert lowered.inner.schema == StructType.fromDDL(q.inner_schema)
 
 
 class TestEngines:
