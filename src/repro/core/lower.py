@@ -274,20 +274,13 @@ def _apply_chain(ops: Sequence[SubOperator], pdf: pd.DataFrame, engine: str) -> 
     return concat_batches(batches, columns=pdf.columns)
 
 
-def _pid_and_compress(out: pd.DataFrame, ex: MpiExchange) -> pd.DataFrame:
-    if ex.bucket_batch_fn is not None:
-        pids = np.asarray(ex.bucket_batch_fn(out))
-    else:
-        pids = np.fromiter(
-            (ex.bucket_fn(t) for t in RowVector(out).iter_rows()), dtype=np.int64, count=len(out)
-        )
+def _pid_and_compress(payload: pd.DataFrame, pids: np.ndarray, ex: MpiExchange) -> pd.DataFrame:
+    """The Spark wire frame of ``MpiExchange.wire_payload``'s result."""
     if ex.compression is not None:
-        out = ex.compression.compress_pdf(out)
         # Spark has no unsigned 64-bit type; reinterpret as signed on the wire.
-        out = pd.DataFrame({ex.compression.out_field: out[ex.compression.out_field].astype(np.int64)})
-    out = out.copy()
-    out["__pid"] = pids.astype(np.int64)
-    return out
+        field = ex.compression.out_field
+        payload = pd.DataFrame({field: payload[field].astype(np.int64)})
+    return payload.assign(__pid=pids.astype(np.int64))
 
 
 def _make_pre_fn(pre_ops: Sequence[SubOperator], ex: MpiExchange, engine: str) -> Callable:
@@ -295,7 +288,7 @@ def _make_pre_fn(pre_ops: Sequence[SubOperator], ex: MpiExchange, engine: str) -
         for pdf in iterator:
             out = _apply_chain(pre_ops, pdf, engine)
             if len(out):
-                yield _pid_and_compress(out, ex)
+                yield _pid_and_compress(*ex.wire_payload(out), ex)
 
     return fn
 

@@ -6,14 +6,15 @@ Four categories:
 * data processing — ``Map``, ``ParametrizedMap``, ``Projection``,
   ``CartesianProduct``, ``Filter``, ``Reduce``, ``ReduceByKey``, ``Zip``,
   ``LocalHistogram``, ``BuildProbe``
-* network — ``MpiExecutor``, ``MpiHistogram``, ``MpiExchange``,
-  ``MpiBroadcast``
+* network — ``MpiExecutor``, ``MpiHistogram``, ``MpiExchange``
 * materialize & scan — ``LocalPartitioning``, ``RowScan``,
   ``MaterializeRowVector``
 
 Every operator implements row-at-a-time semantics (``rows``) and/or a
-vectorized batch path (``batches``); network operators are batch-only and
-require an MPI-style communicator in the execution context.
+vectorized batch path (``batches``); an operator that takes user code takes
+one kernel over a DataFrame and derives its row path from it. Network
+operators are batch-only and require an MPI-style communicator in the
+execution context.
 """
 from repro.core.ops.base import ExecContext, SubOperator  # noqa: F401
 from repro.core.ops.orchestration import NestedMap, ParameterLookup  # noqa: F401
@@ -30,7 +31,6 @@ from repro.core.ops.processing import (  # noqa: F401
     Zip,
 )
 from repro.core.ops.network import (  # noqa: F401
-    MpiBroadcast,
     MpiExchange,
     MpiExecutor,
     MpiHistogram,

@@ -10,6 +10,12 @@ collections (paper Section 3.2). Two data paths exist:
   reproduction's analogue of the paper's JIT-compiled pipelines: the
   per-tuple interpretation overhead disappears from inner loops.
 
+An operator that takes user code (``Map``, ``ParametrizedMap``, ``Filter``,
+``LocalHistogram``, ``LocalPartitioning``, ``MpiExchange``) takes exactly
+one kernel, written over a DataFrame. The batch path runs it over whole
+batches; the row path calls the same kernel on a one-row frame
+(``on_one_row``), so each operator's per-tuple logic is written once.
+
 A batch is one of two kinds. Data tuples travel as a pandas DataFrame, so
 kernels run over whole columns. Control-level tuples — the few tuples that
 carry a nested ``RowVector`` or a partition id (parameter tuples, nested-plan
@@ -28,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Union
 
+import numpy as np
 import pandas as pd
 
 from repro.core.types import RowVector, TupleType
@@ -105,6 +112,16 @@ def frame_of(batch: Batch) -> pd.DataFrame:
     if isinstance(batch, list):
         return pd.DataFrame(batch)
     return batch
+
+
+def on_one_row(kernel: Callable, t: dict, *args: Any) -> Any:
+    """The row path of a batch kernel: call it on a one-row frame of tuple
+    ``t`` (plus ``args``). A frame result comes back as its tuples, an array
+    result (a mask or bucket ids) as its one element."""
+    out = kernel(pd.DataFrame([t]), *args)
+    if isinstance(out, pd.DataFrame):
+        return tuples_of(out)
+    return np.asarray(out)[0]
 
 
 def concat_batches(batches: Sequence[Batch], columns: Optional[Sequence[str]] = None) -> pd.DataFrame:

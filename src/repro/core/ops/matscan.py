@@ -14,7 +14,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core import radix
-from repro.core.ops.base import SubOperator, concat_batches, tuples_of
+from repro.core.ops.base import SubOperator, concat_batches, on_one_row, tuples_of
 from repro.core.types import INT64, RowVector, RowVectorType, TupleType
 
 
@@ -104,6 +104,7 @@ class LocalPartitioning(SubOperator):
     second (the prefix sums of the histogram give each partition's extent),
     then emits ``<partition_id, partition_data>`` pairs in dense order —
     reused verbatim by joins and GROUP BY (design principle 1).
+    ``bucket_fn(DataFrame) -> int64 array`` gives each row's partition.
     """
 
     op_name = "LP"
@@ -114,15 +115,13 @@ class LocalPartitioning(SubOperator):
         data_upstream: SubOperator,
         histogram_upstream: SubOperator,
         n_partitions: int,
-        bucket_fn: Callable[[dict], int],
-        bucket_batch_fn: Optional[Callable[[pd.DataFrame], np.ndarray]] = None,
+        bucket_fn: Callable[[pd.DataFrame], np.ndarray],
         pid_field: str = "partition_id",
         data_field: str = "partition_data",
     ) -> None:
         super().__init__([data_upstream, histogram_upstream])
         self.n_partitions = n_partitions
         self.bucket_fn = bucket_fn
-        self.bucket_batch_fn = bucket_batch_fn
         self.pid_field = pid_field
         self.data_field = data_field
 
@@ -152,7 +151,7 @@ class LocalPartitioning(SubOperator):
         for t in ups[0]:
             if columns is None:
                 columns = list(t.keys())
-            parts[self.bucket_fn(t)].append(t)
+            parts[int(on_one_row(self.bucket_fn, t))].append(t)
         for p in range(self.n_partitions):
             if len(parts[p]) != sizes[p]:
                 raise RuntimeError(
@@ -166,14 +165,8 @@ class LocalPartitioning(SubOperator):
     def batches(self, ctx, ups) -> Iterator[List[dict]]:
         sizes = self._sizes(tuples_of(concat_batches(list(ups[1]))))
         data = concat_batches(list(ups[0]))
-        if self.bucket_batch_fn is not None and len(data):
-            pids = np.asarray(self.bucket_batch_fn(data))
-        else:
-            pids = np.fromiter(
-                (self.bucket_fn(t) for t in RowVector(data).iter_rows()),
-                dtype=np.int64,
-                count=len(data),
-            )
+        # an empty concat has no columns for the kernel to read
+        pids = np.asarray(self.bucket_fn(data)) if len(data) else np.zeros(0, dtype=np.int64)
         frames = radix.scatter(data, pids, self.n_partitions)
         for p, f in enumerate(frames):
             if len(f) != sizes[p]:

@@ -10,7 +10,7 @@ exchange) — same plan, different platform, which is the paper's whole point.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 import pandas as pd
@@ -96,6 +96,7 @@ class MpiExchange(SubOperator):
     partition's tuples into its owner's window with one-sided puts, fences,
     and returns this rank's ``<partition_id, partition_data>`` pairs.
 
+    ``bucket_fn(DataFrame) -> int64 array`` gives each tuple's partition.
     With a ``CompressionSpec`` the <key,value> payload is compressed to one
     64-bit word on the wire (fan-out must be 2**F); partition data stays
     compressed downstream until a ParametrizedMap restores the bits.
@@ -110,8 +111,7 @@ class MpiExchange(SubOperator):
         local_hist_upstream: SubOperator,
         global_hist_upstream: SubOperator,
         n_partitions: int,
-        bucket_fn: Callable[[dict], int],
-        bucket_batch_fn: Optional[Callable[[pd.DataFrame], np.ndarray]] = None,
+        bucket_fn: Callable[[pd.DataFrame], np.ndarray],
         compression: Optional[CompressionSpec] = None,
         pid_field: str = "partition_id",
         data_field: str = "partition_data",
@@ -123,7 +123,6 @@ class MpiExchange(SubOperator):
             )
         self.n_partitions = n_partitions
         self.bucket_fn = bucket_fn
-        self.bucket_batch_fn = bucket_batch_fn
         self.compression = compression
         self.pid_field = pid_field
         self.data_field = data_field
@@ -145,10 +144,7 @@ class MpiExchange(SubOperator):
         local_hist = _dense_counts(concat_batches(list(ups[1])), n, "MpiExchange local")
         global_hist = _dense_counts(concat_batches(list(ups[2])), n, "MpiExchange global")
 
-        data = concat_batches(list(ups[0]))
-        pids = self._pids(data)
-        if self.compression is not None:
-            data = self.compression.compress_pdf(data)
+        data, pids = self.wire_payload(concat_batches(list(ups[0])))
 
         # Window layout on each rank: its owned partitions' regions in
         # increasing partition id, sized by the global histogram.
@@ -183,56 +179,15 @@ class MpiExchange(SubOperator):
             start = stop
         yield out
 
-    def _pids(self, data: pd.DataFrame) -> np.ndarray:
-        if self.bucket_batch_fn is not None and len(data):
-            return np.asarray(self.bucket_batch_fn(data))
-        return np.fromiter(
-            (self.bucket_fn(t) for t in RowVector(data).iter_rows()),
-            dtype=np.int64,
-            count=len(data),
-        )
-
-
-class MpiBroadcast(SubOperator):
-    """Sends all tuples from upstream to every rank via the same
-    histogram-offset window protocol as MpiExchange (n_buckets = 1), and
-    returns the gathered tuples directly (no partition id)."""
-
-    op_name = "MB"
-    phase = "network_partitioning"
-
-    def __init__(
-        self,
-        data_upstream: SubOperator,
-        local_hist_upstream: SubOperator,
-        global_hist_upstream: SubOperator,
-    ) -> None:
-        super().__init__([data_upstream, local_hist_upstream, global_hist_upstream])
-
-    def out_type(self, in_types) -> Optional[TupleType]:
-        return in_types[0]
-
-    def batches(self, ctx: ExecContext, ups) -> Iterator[pd.DataFrame]:
-        from repro.mpi.simcluster import LocalComm
-
-        comm = ctx.comm or LocalComm()
-        local_total = int(_dense_counts(concat_batches(list(ups[1])), 1, "MpiBroadcast local")[0])
-        global_total = int(
-            _dense_counts(concat_batches(list(ups[2])), 1, "MpiBroadcast global")[0]
-        )
-        data = concat_batches(list(ups[0]))
-        if len(data) != local_total:
-            raise RuntimeError(
-                f"MpiBroadcast local histogram says {local_total} tuples, saw {len(data)}"
-            )
-        dtypes = {c: data[c].dtype for c in data.columns}
-        win = comm.win_create(global_total, list(data.columns), dtypes=dtypes)
-        offset = int(comm.exscan_sum(np.array([local_total]))[0])
-        if len(data):
-            for r in range(comm.size):
-                comm.put(win, r, offset, data)
-        comm.fence(win)
-        yield win.local_frame(comm.rank, 0, global_total)
+    def wire_payload(self, data: pd.DataFrame) -> Tuple[pd.DataFrame, np.ndarray]:
+        """This rank's tuples as they go on the wire (compressed if
+        configured) and each tuple's partition id. The Spark lowering
+        calls it too, so every platform partitions and compresses alike."""
+        # an empty concat has no columns for the kernel to read
+        pids = np.asarray(self.bucket_fn(data)) if len(data) else np.zeros(0, dtype=np.int64)
+        if self.compression is not None:
+            data = self.compression.compress_pdf(data)
+        return data, pids
 
 
 def _dense_counts(pdf: pd.DataFrame, n: int, who: str) -> np.ndarray:

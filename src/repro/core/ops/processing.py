@@ -1,8 +1,9 @@
 """Data-processing sub-operators (paper Section 3.3.2).
 
 These express the computations inside inner loops. Each operator implements
-the row-at-a-time reference path and, where it matters for performance, a
-vectorized batch path over pandas/numpy (the JIT analogue).
+the row-at-a-time reference path and a vectorized batch path over
+pandas/numpy (the JIT analogue). Operators that take user code take one
+kernel over a DataFrame; their row path calls it on a one-row frame.
 """
 from __future__ import annotations
 
@@ -11,16 +12,22 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence
 import numpy as np
 import pandas as pd
 
-from repro.core.ops.base import Batch, SubOperator, concat_batches, frame_of, tuples_of
+from repro.core.ops.base import (
+    Batch,
+    SubOperator,
+    concat_batches,
+    frame_of,
+    on_one_row,
+    tuples_of,
+)
 from repro.core.types import RowVector, TupleType
 
 
 class Map(SubOperator):
     """Applies a function to every input tuple.
 
-    ``row_fn(tuple) -> tuple`` defines semantics; an optional
-    ``batch_fn(DataFrame) -> DataFrame`` provides the vectorized kernel
-    (falls back to applying ``row_fn`` per row).
+    ``fn(DataFrame) -> DataFrame`` maps each input row to one output row;
+    the row path calls it on a one-row frame per tuple.
     """
 
     op_name = "MP"
@@ -28,13 +35,11 @@ class Map(SubOperator):
     def __init__(
         self,
         upstream: SubOperator,
-        row_fn: Callable[[dict], dict],
-        batch_fn: Optional[Callable[[pd.DataFrame], pd.DataFrame]] = None,
+        fn: Callable[[pd.DataFrame], pd.DataFrame],
         declared_type: Optional[TupleType] = None,
     ) -> None:
         super().__init__([upstream])
-        self.row_fn = row_fn
-        self.batch_fn = batch_fn
+        self.fn = fn
         self.declared_type = declared_type
 
     def out_type(self, in_types) -> Optional[TupleType]:
@@ -42,20 +47,18 @@ class Map(SubOperator):
 
     def rows(self, ctx, ups) -> Iterator[dict]:
         for t in ups[0]:
-            yield self.row_fn(t)
+            yield from on_one_row(self.fn, t)
 
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
         for batch in ups[0]:
-            if self.batch_fn is not None:
-                yield self.batch_fn(frame_of(batch))
-            else:
-                yield _apply_rowwise(batch, self.row_fn)
+            yield self.fn(frame_of(batch))
 
 
 class ParametrizedMap(SubOperator):
     """Map that additionally receives one parameter tuple from a second
-    upstream, passed to every function call (used e.g. to restore bits
-    dropped by the exchange compression)."""
+    upstream, passed to every kernel call as ``fn(DataFrame, param) ->
+    DataFrame`` (used e.g. to restore bits dropped by the exchange
+    compression)."""
 
     op_name = "PM"
 
@@ -63,13 +66,11 @@ class ParametrizedMap(SubOperator):
         self,
         param_upstream: SubOperator,
         data_upstream: SubOperator,
-        row_fn: Callable[[dict, dict], dict],
-        batch_fn: Optional[Callable[[pd.DataFrame, dict], pd.DataFrame]] = None,
+        fn: Callable[[pd.DataFrame, dict], pd.DataFrame],
         declared_type: Optional[TupleType] = None,
     ) -> None:
         super().__init__([param_upstream, data_upstream])
-        self.row_fn = row_fn
-        self.batch_fn = batch_fn
+        self.fn = fn
         self.declared_type = declared_type
 
     def out_type(self, in_types) -> Optional[TupleType]:
@@ -86,15 +87,12 @@ class ParametrizedMap(SubOperator):
     def rows(self, ctx, ups) -> Iterator[dict]:
         param = self._param_rows(ups[0])
         for t in ups[1]:
-            yield self.row_fn(t, param)
+            yield from on_one_row(self.fn, t, param)
 
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
         param = self._param_rows(t for batch in ups[0] for t in tuples_of(batch))
         for batch in ups[1]:
-            if self.batch_fn is not None:
-                yield self.batch_fn(frame_of(batch), param)
-            else:
-                yield _apply_rowwise(batch, lambda t: self.row_fn(t, param))
+            yield self.fn(frame_of(batch), param)
 
 
 class Projection(SubOperator):
@@ -158,38 +156,26 @@ class CartesianProduct(SubOperator):
 
 
 class Filter(SubOperator):
-    """Relational selection: keeps tuples satisfying a predicate."""
+    """Relational selection: keeps tuples satisfying a predicate
+    ``pred(DataFrame) -> bool array``."""
 
     op_name = "FL"
 
-    def __init__(
-        self,
-        upstream: SubOperator,
-        row_pred: Callable[[dict], bool],
-        batch_pred: Optional[Callable[[pd.DataFrame], np.ndarray]] = None,
-    ) -> None:
+    def __init__(self, upstream: SubOperator, pred: Callable[[pd.DataFrame], np.ndarray]) -> None:
         super().__init__([upstream])
-        self.row_pred = row_pred
-        self.batch_pred = batch_pred
+        self.pred = pred
 
     def out_type(self, in_types) -> Optional[TupleType]:
         return in_types[0]
 
     def rows(self, ctx, ups) -> Iterator[dict]:
         for t in ups[0]:
-            if self.row_pred(t):
+            if on_one_row(self.pred, t):
                 yield t
 
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
         for pdf in map(frame_of, ups[0]):
-            if self.batch_pred is not None:
-                mask = np.asarray(self.batch_pred(pdf), dtype=bool)
-            else:
-                mask = np.fromiter(
-                    (bool(self.row_pred(t)) for t in RowVector(pdf).iter_rows()),
-                    dtype=bool,
-                    count=len(pdf),
-                )
+            mask = np.asarray(self.pred(pdf), dtype=bool)
             yield pdf[mask].reset_index(drop=True)
 
 
@@ -197,8 +183,10 @@ class Reduce(SubOperator):
     """Aggregates all input tuples into one with an associative,
     commutative combine function ``row_fn(a, b) -> tuple``.
 
-    The optional ``batch_fn(DataFrame) -> tuple`` produces a per-batch
-    partial aggregate; partials are folded with ``row_fn``.
+    ``agg_spec`` is the same hint as ReduceByKey's: with it the batch path
+    computes the named aggregates over columns and the Spark lowering emits
+    a native Catalyst aggregate; without it the batch path folds the rows
+    with ``row_fn``.
     """
 
     op_name = "RD"
@@ -207,13 +195,10 @@ class Reduce(SubOperator):
         self,
         upstream: SubOperator,
         row_fn: Callable[[dict, dict], dict],
-        batch_fn: Optional[Callable[[pd.DataFrame], dict]] = None,
         agg_spec: Optional[Dict[str, str]] = None,
     ) -> None:
         super().__init__([upstream])
         self.row_fn = row_fn
-        self.batch_fn = batch_fn
-        # lowering hint: column -> named aggregate, same as ReduceByKey
         self.agg_spec = agg_spec
 
     def out_type(self, in_types) -> Optional[TupleType]:
@@ -227,18 +212,14 @@ class Reduce(SubOperator):
             yield acc
 
     def batches(self, ctx, ups) -> Iterator[pd.DataFrame]:
-        acc: Optional[dict] = None
-        for pdf in map(frame_of, ups[0]):
-            if not len(pdf):
-                continue
-            if self.batch_fn is not None:
-                part = self.batch_fn(pdf)
-                acc = part if acc is None else self.row_fn(acc, part)
-            else:
-                for t in RowVector(pdf).iter_rows():
-                    acc = t if acc is None else self.row_fn(acc, t)
-        if acc is not None:
-            yield pd.DataFrame([acc])
+        pdf = concat_batches(list(ups[0]))
+        if not len(pdf):
+            return
+        if self.agg_spec is not None:
+            aggs = _pandas_aggs(self.agg_spec)
+            yield pd.DataFrame({c: [pdf[c].agg(aggs[c])] for c in pdf.columns})
+        else:
+            yield pd.DataFrame([_fold_rows(pdf, self.row_fn)])
 
 
 class ReduceByKey(SubOperator):
@@ -291,8 +272,8 @@ class ReduceByKey(SubOperator):
             return
         order = list(pdf.columns)
         if self.agg_spec is not None:
-            agg = {c: ("size" if a == "count" else a) for c, a in self.agg_spec.items()}
-            out = pdf.groupby(self.keys, as_index=False, sort=False).agg(agg)
+            groups = pdf.groupby(self.keys, as_index=False, sort=False)
+            out = groups.agg(_pandas_aggs(self.agg_spec))
         else:
             vals = [c for c in pdf.columns if c not in self.keys]
             out = (
@@ -359,7 +340,8 @@ class Zip(SubOperator):
 class LocalHistogram(SubOperator):
     """Counts input tuples per bucket; returns a dense, ordered
     ``<bucket_id, count>`` sequence of exactly ``n_buckets`` tuples (as
-    required by MpiExchange)."""
+    required by MpiExchange). ``bucket_fn(DataFrame) -> int64 array`` gives
+    each row's bucket."""
 
     op_name = "LH"
     phase = "local_histogram"
@@ -368,13 +350,11 @@ class LocalHistogram(SubOperator):
         self,
         upstream: SubOperator,
         n_buckets: int,
-        bucket_fn: Callable[[dict], int],
-        bucket_batch_fn: Optional[Callable[[pd.DataFrame], np.ndarray]] = None,
+        bucket_fn: Callable[[pd.DataFrame], np.ndarray],
     ) -> None:
         super().__init__([upstream])
         self.n_buckets = n_buckets
         self.bucket_fn = bucket_fn
-        self.bucket_batch_fn = bucket_batch_fn
 
     def out_type(self, in_types) -> TupleType:
         from repro.core.types import INT64
@@ -384,7 +364,7 @@ class LocalHistogram(SubOperator):
     def rows(self, ctx, ups) -> Iterator[dict]:
         counts = np.zeros(self.n_buckets, dtype=np.int64)
         for t in ups[0]:
-            b = self.bucket_fn(t)
+            b = int(on_one_row(self.bucket_fn, t))
             if not 0 <= b < self.n_buckets:
                 raise RuntimeError(f"bucket {b} out of range [0, {self.n_buckets})")
             counts[b] += 1
@@ -396,21 +376,12 @@ class LocalHistogram(SubOperator):
         for pdf in map(frame_of, ups[0]):
             if not len(pdf):
                 continue
-            ids = np.asarray(self._bucket_ids(pdf))
+            ids = np.asarray(self.bucket_fn(pdf))
             if ids.min() < 0 or ids.max() >= self.n_buckets:
                 raise RuntimeError(f"bucket ids out of range [0, {self.n_buckets})")
             counts += np.bincount(ids, minlength=self.n_buckets)
         yield pd.DataFrame(
             {"bucket_id": np.arange(self.n_buckets, dtype=np.int64), "count": counts}
-        )
-
-    def _bucket_ids(self, pdf: pd.DataFrame) -> np.ndarray:
-        if self.bucket_batch_fn is not None:
-            return self.bucket_batch_fn(pdf)
-        return np.fromiter(
-            (self.bucket_fn(t) for t in RowVector(pdf).iter_rows()),
-            dtype=np.int64,
-            count=len(pdf),
         )
 
 
@@ -529,11 +500,9 @@ class BuildProbe(SubOperator):
                 yield out[self.keys + rest_l + rest_r]
 
 
-def _apply_rowwise(batch: Batch, fn: Callable[[dict], dict]) -> pd.DataFrame:
-    rows = [fn(t) for t in tuples_of(batch)]
-    if rows:
-        return pd.DataFrame(rows)
-    return frame_of(batch).iloc[:0]
+def _pandas_aggs(agg_spec: Dict[str, str]) -> Dict[str, str]:
+    """An ``agg_spec`` in pandas' aggregate names."""
+    return {c: ("size" if a == "count" else a) for c, a in agg_spec.items()}
 
 
 def _fold_rows(pdf: pd.DataFrame, row_fn: Callable[[dict, dict], dict]) -> dict:

@@ -68,8 +68,4 @@ def _prepare(ctx: Optional[ExecContext], params: Optional[dict]) -> ExecContext:
         ctx = ctx.child(params)
     if ctx.run_nested_batches is None:
         ctx.run_nested_batches = lambda p, c: run_rows(p, c)
-    if ctx.run_nested_rows is None:
-        from repro.core import interp
-
-        ctx.run_nested_rows = lambda p, c: interp.run_rows(p, c)
     return ctx

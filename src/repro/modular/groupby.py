@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-import numpy as np
 import pandas as pd
 
 from repro.core import Plan
@@ -34,17 +33,12 @@ def _decompress_map(cfg: JoinConfig, pl: ParameterLookup, data: SubOperator, val
     spec = cfg.spec(value_field)
     param = Projection(pl, ["net_pid"])
 
-    def row_fn(t: dict, p: dict) -> dict:
-        w = int(t[spec.out_field])
-        k = ((w >> spec.p_bits) << spec.f_bits) | int(p["net_pid"])
-        return {cfg.key: k, value_field: w & ((1 << spec.p_bits) - 1)}
-
-    def batch_fn(pdf: pd.DataFrame, p: dict) -> pd.DataFrame:
+    def decompress(pdf: pd.DataFrame, p: dict) -> pd.DataFrame:
         k, v = spec.decompress(pdf[spec.out_field].to_numpy(), int(p["net_pid"]))
         return pd.DataFrame({cfg.key: k, value_field: v})
 
     out_type = TupleType([(cfg.key, INT64), (value_field, INT64)])
-    return ParametrizedMap(param, data, row_fn=row_fn, batch_fn=batch_fn, declared_type=out_type)
+    return ParametrizedMap(param, data, decompress, declared_type=out_type)
 
 
 def groupby_inner2_plan(

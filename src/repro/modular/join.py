@@ -48,7 +48,7 @@ def _split_word_map(spec, value_field: str) -> Map:
     """Vectorized kernel: split a compressed word into the stored key-high
     bits and the value (the probe key inside one network partition)."""
 
-    def batch(pdf: pd.DataFrame) -> pd.DataFrame:
+    def split(pdf: pd.DataFrame) -> pd.DataFrame:
         w = pdf[spec.out_field].to_numpy().astype(np.uint64)
         return pd.DataFrame(
             {
@@ -57,12 +57,8 @@ def _split_word_map(spec, value_field: str) -> Map:
             }
         )
 
-    def row(t: dict) -> dict:
-        w = int(t[spec.out_field])
-        return {"k_hi": w >> spec.p_bits, value_field: w & ((1 << spec.p_bits) - 1)}
-
     out_type = TupleType([("k_hi", INT64), (value_field, INT64)])
-    return lambda up: Map(up, row_fn=row, batch_fn=batch, declared_type=out_type)
+    return lambda up: Map(up, split, declared_type=out_type)
 
 
 def join_inner2_plan(
@@ -97,17 +93,13 @@ def join_inner2_plan(
         keep = list(value_fields) if join_type in ("inner", "outer") else [value_fields[1]]
         out_type = TupleType([(cfg.key, INT64)] + [(vf, INT64) for vf in keep])
 
-        def row_fn(t: dict, p: dict) -> dict:
-            k = (int(t["k_hi"]) << spec.f_bits) | int(p[pid_field])
-            return {cfg.key: k, **{c: t[c] for c in t if c != "k_hi"}}
-
-        def batch_fn(pdf: pd.DataFrame, p: dict) -> pd.DataFrame:
+        def restore_key(pdf: pd.DataFrame, p: dict) -> pd.DataFrame:
             k = (pdf["k_hi"].to_numpy().astype(np.int64) << spec.f_bits) | int(p[pid_field])
             cols = {cfg.key: k}
             cols.update({c: pdf[c] for c in pdf.columns if c != "k_hi"})
             return pd.DataFrame(cols)
 
-        out = ParametrizedMap(param, out, row_fn=row_fn, batch_fn=batch_fn, declared_type=out_type)
+        out = ParametrizedMap(param, out, restore_key, declared_type=out_type)
 
     if probe_post is not None:
         out = probe_post(out)

@@ -47,9 +47,7 @@ def _rank_model(comm, inputs: Tuple[pd.DataFrame, pd.DataFrame], cfg: JoinConfig
     params = {"R": RowVector(r_pdf), "S": RowVector(s_pdf)}
 
     def lh(field):
-        return LocalHistogram(
-            _src(field), cfg.n_net, bucket_fn=cfg.net_pid_row(), bucket_batch_fn=cfg.net_pid_batch()
-        )
+        return LocalHistogram(_src(field), cfg.n_net, bucket_fn=cfg.net_pid_batch())
 
     # local histogram: one pipeline per relation, nothing else
     t0 = perf_counter()
@@ -70,7 +68,7 @@ def _rank_model(comm, inputs: Tuple[pd.DataFrame, pd.DataFrame], cfg: JoinConfig
             _src(field),
             RowScan(Projection(ParameterLookup(), ["LH"]), "LH"),
             RowScan(Projection(ParameterLookup(), ["GH"]), "GH"),
-            cfg.n_net, bucket_fn=cfg.net_pid_row(), bucket_batch_fn=cfg.net_pid_batch(),
+            cfg.n_net, bucket_fn=cfg.net_pid_batch(),
             compression=cfg.spec(vf),
         )
 
@@ -86,16 +84,8 @@ def _rank_model(comm, inputs: Tuple[pd.DataFrame, pd.DataFrame], cfg: JoinConfig
         out = []
         for tup in RowVector(parts).iter_rows():
             p = {"D": tup["partition_data"]}
-            hist = LocalHistogram(
-                _src("D"), cfg.n_loc,
-                bucket_fn=cfg.loc_pid_row(cfg.compress, vf),
-                bucket_batch_fn=cfg.loc_pid_batch(cfg.compress, vf),
-            )
-            lp = LocalPartitioning(
-                _src("D"), hist, cfg.n_loc,
-                bucket_fn=cfg.loc_pid_row(cfg.compress, vf),
-                bucket_batch_fn=cfg.loc_pid_batch(cfg.compress, vf),
-            )
+            hist = LocalHistogram(_src("D"), cfg.n_loc, bucket_fn=cfg.loc_pid_batch(vf))
+            lp = LocalPartitioning(_src("D"), hist, cfg.n_loc, bucket_fn=cfg.loc_pid_batch(vf))
             out.append((tup["partition_id"], _run(lp, p)))
         return out
 

@@ -3,18 +3,16 @@
 Same Catalyst stage structure as the modular lowering (mapInPandas
 pre-partitioning, shuffle on the radix pid, applyInPandas per partition)
 but each stage is one hand-fused numpy kernel specialized to the 16-byte
-<key, value> workload: no sub-operator dispatch, no generic evaluator, one
-combined histogram pass. The delta between this and the lowered modular
+<key, value> workload: no sub-operator dispatch, no generic evaluator.
+Like the modular lowering it runs no histogram pass: Spark's shuffle sizes
+its own partitions. The delta between this and the lowered modular
 plan is the "cost of modularity" measured in the paper (12–28 %).
 """
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core import radix
 from repro.modular.common import JoinConfig
@@ -77,30 +75,14 @@ def _join_fn(cfg: JoinConfig):
     return fn
 
 
-def monolithic_join_stages(
+def run_monolithic_join_spark(
     spark: SparkSession, r: DataFrame, s: DataFrame, cfg: JoinConfig
-) -> Dict[str, object]:
-    """Lowered stage handles (pre-exchange, histogram, join) for timing."""
+) -> DataFrame:
     pre_schema = "kv long, __pid long" if cfg.compress else None
     pre_r = r.mapInPandas(_pre_fn(cfg, "vr"), schema=pre_schema or "k long, vr long, __pid long")
     pre_s = s.mapInPandas(_pre_fn(cfg, "vs"), schema=pre_schema or "k long, vs long, __pid long")
-    # one combined histogram job for both relations (the monolithic
-    # algorithm's single MPI_Allreduce over the concatenated histograms)
-    hist = (
-        pre_r.select("__pid", F.lit(0).alias("__rel"))
-        .unionByName(pre_s.select("__pid", F.lit(1).alias("__rel")))
-        .groupBy("__rel", "__pid")
-        .count()
-    )
-    joined = (
+    return (
         pre_r.groupBy("__pid")
         .cogroup(pre_s.groupBy("__pid"))
         .applyInPandas(_join_fn(cfg), schema="k long, vr long, vs long")
     )
-    return {"pre": [pre_r, pre_s], "histogram": hist, "joined": joined}
-
-
-def run_monolithic_join_spark(
-    spark: SparkSession, r: DataFrame, s: DataFrame, cfg: JoinConfig
-) -> DataFrame:
-    return monolithic_join_stages(spark, r, s, cfg)["joined"]

@@ -48,23 +48,10 @@ class TpchQuery:
     inner_schema: str
 
 
-def _map(up: SubOperator, batch_fn, **out_fields: Atom) -> Map:
-    """Map with a vectorized kernel, a derived row fallback and the output
-    type given as keyword atoms, in output column order."""
-
-    def row_fn(t):
-        out = batch_fn(pd.DataFrame([t]))
-        return {c: out[c].iloc[0] for c in out.columns}
-
-    return Map(up, row_fn=row_fn, batch_fn=batch_fn, declared_type=TupleType(list(out_fields.items())))
-
-
-def _filter(up: SubOperator, batch_pred) -> Filter:
-    return Filter(
-        up,
-        row_pred=lambda t: bool(batch_pred(pd.DataFrame([t]))[0]),
-        batch_pred=batch_pred,
-    )
+def _map(up: SubOperator, fn, **out_fields: Atom) -> Map:
+    """Map with its output type given as keyword atoms, in output column
+    order."""
+    return Map(up, fn, declared_type=TupleType(list(out_fields.items())))
 
 
 def _revenue(pdf: pd.DataFrame) -> np.ndarray:
@@ -88,9 +75,9 @@ GROUP BY o_orderpriority
 def q4_plan(cfg: JoinConfig) -> Plan:
     def pre_scan(field: str, op: SubOperator) -> SubOperator:
         if field == "L":  # build side: matching lineitem order keys
-            op = _filter(op, lambda pdf: (pdf["l_commitdate"] < pdf["l_receiptdate"]).to_numpy())
+            op = Filter(op, lambda pdf: (pdf["l_commitdate"] < pdf["l_receiptdate"]).to_numpy())
             return _map(op, lambda pdf: pd.DataFrame({"k": pdf["l_orderkey"]}), k=INT64)
-        op = _filter(
+        op = Filter(
             op,
             lambda pdf: (
                 (pdf["o_orderdate"] >= pd.Timestamp("1993-07-01"))
@@ -153,7 +140,7 @@ def q12_plan(cfg: JoinConfig) -> Plan:
                 op, lambda pdf: pd.DataFrame({"k": pdf["o_orderkey"], "o_orderpriority": pdf["o_orderpriority"]}),
                 k=INT64, o_orderpriority=STR,
             )
-        op = _filter(
+        op = Filter(
             op,
             lambda pdf: (
                 pdf["l_shipmode"].isin(["MAIL", "SHIP"])
@@ -218,7 +205,6 @@ def _sum2(cols: Sequence[str]) -> Reduce:
         return Reduce(
             op,
             row_fn=lambda a, b: {c: a[c] + b[c] for c in cols},
-            batch_fn=lambda pdf: {c: float(pdf[c].sum()) for c in cols},
             agg_spec={c: "sum" for c in cols},
         )
 
@@ -232,7 +218,7 @@ def q14_plan(cfg: JoinConfig) -> Plan:
                 op, lambda pdf: pd.DataFrame({"k": pdf["p_partkey"], "p_type": pdf["p_type"]}),
                 k=INT64, p_type=STR,
             )
-        op = _filter(
+        op = Filter(
             op,
             lambda pdf: (
                 (pdf["l_shipdate"] >= pd.Timestamp("1995-09-01"))
@@ -321,7 +307,7 @@ def _q19_joined_pred(pdf: pd.DataFrame) -> np.ndarray:
 def q19_plan(cfg: JoinConfig) -> Plan:
     def pre_scan(field: str, op: SubOperator) -> SubOperator:
         if field == "P":  # build side, pre-filtered to the brand superset
-            op = _filter(
+            op = Filter(
                 op,
                 lambda pdf: (
                     pdf["p_brand"].isin([b for b, *_ in _Q19_BRANCHES])
@@ -336,7 +322,7 @@ def q19_plan(cfg: JoinConfig) -> Plan:
                 ),
                 k=INT64, p_brand=STR, p_container=STR, p_size=INT64,
             )
-        op = _filter(
+        op = Filter(
             op,
             lambda pdf: (
                 pdf["l_shipmode"].isin(["AIR", "REG AIR"])
@@ -352,7 +338,7 @@ def q19_plan(cfg: JoinConfig) -> Plan:
         )
 
     def residual(op: SubOperator) -> SubOperator:
-        filtered = _filter(op, _q19_joined_pred)
+        filtered = Filter(op, _q19_joined_pred)
         projected = _map(filtered, lambda pdf: pd.DataFrame({"revenue": pdf["rev"]}), revenue=FLOAT64)
         return _sum1(projected)
 
@@ -360,7 +346,6 @@ def q19_plan(cfg: JoinConfig) -> Plan:
         return Reduce(
             op,
             row_fn=lambda a, b: {"revenue": a["revenue"] + b["revenue"]},
-            batch_fn=lambda pdf: {"revenue": float(pdf["revenue"].sum())},
             agg_spec={"revenue": "sum"},
         )
 

@@ -133,7 +133,7 @@ class TestStaticSchemas:
         r, s = kv_frames
         plan = distributed_join_plan(
             JoinConfig(n_net=2, loc_bits=1),
-            pre_scan=lambda f, op: Map(op, row_fn=lambda t: t, batch_fn=lambda pdf: pdf),
+            pre_scan=lambda f, op: Map(op, lambda pdf: pdf),
         )
         with pytest.raises(TypeError, match=r"Map \(MP\) in plan 'distributed-join'"):
             lower_distributed_plan(
@@ -160,8 +160,7 @@ class TestEmptyInputs:
         def drop_s(field, op):
             if field != "S":
                 return op
-            return Filter(op, row_pred=lambda t: False,
-                          batch_pred=lambda pdf: np.zeros(len(pdf), dtype=bool))
+            return Filter(op, lambda pdf: np.zeros(len(pdf), dtype=bool))
 
         cfg = JoinConfig(n_net=4, loc_bits=2)
         out = run_distributed_on_spark(

@@ -3,10 +3,12 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import RowVector
 from repro.modular.common import JoinConfig
-from repro.modular.groupby import distributed_groupby_plan
+from repro.modular.groupby import distributed_groupby_plan, groupby_inner1_plan
 from repro.mpi.thread_backend import run_on_sim
 from repro.synth_data import dense_kv_pdf
+from tests.helpers import assert_same_rows, run_both
 
 
 def reference(t):
@@ -69,3 +71,23 @@ def test_groupby_phase_breakdown():
     _, info = run_on_sim(plan, 2, {"T": t}, profile=True)
     assert "network_partitioning" in info["phase_seconds"]
     assert "local_partitioning" in info["phase_seconds"]
+
+
+def test_compressed_kernels_row_path_agrees_with_batch_path():
+    """The first nested level over one network partition of compressed
+    words: the interpreter (kernels on one-row frames) and the vectorized
+    evaluator decompress and aggregate alike."""
+    pid = 1
+    cfg = JoinConfig(n_net=4, loc_bits=2, compress=True, p_bits=16)
+    t = dense_kv_pdf(256, multiplicity=4, seed=24)
+    t = t[t["k"] % 4 == pid]
+    plan = groupby_inner1_plan(
+        cfg, "v", lambda a, b: {"v": a["v"] + b["v"]}, {"v": "sum"}
+    )
+    params = {"net_pid": pid, "net_data": RowVector(cfg.spec("v").compress_pdf(t))}
+    got_i, got_v = run_both(plan, params)
+    rows_i = list(got_i[0]["part_agg"].iter_rows())
+    rows_v = list(got_v[0]["part_agg"].iter_rows())
+    assert len(rows_i) == 16
+    assert_same_rows(rows_i, rows_v)
+    check(pd.DataFrame(rows_i), t)

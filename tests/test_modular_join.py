@@ -4,10 +4,12 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import RowVector
 from repro.modular.common import JoinConfig
-from repro.modular.join import distributed_join_plan
+from repro.modular.join import distributed_join_plan, join_inner1_plan
 from repro.mpi.thread_backend import run_on_sim
 from repro.synth_data import dense_kv_pdf
+from tests.helpers import assert_same_rows, run_both
 
 
 def reference_join(r, s, how="inner"):
@@ -104,16 +106,15 @@ def test_rank_and_driver_post_hooks():
     from repro.core.ops import Reduce
 
     def count_hook(op):
-        return Reduce(op, row_fn=lambda a, b: {"n": a["n"] + b["n"]},
-                      batch_fn=lambda pdf: {"n": int(pdf["n"].sum())})
+        return Reduce(op, row_fn=lambda a, b: {"n": a["n"] + b["n"]}, agg_spec={"n": "sum"})
 
     def to_count(op):
         from repro.core.ops import Map
 
         return Reduce(
-            Map(op, row_fn=lambda t: {"n": 1}, batch_fn=lambda pdf: pd.DataFrame({"n": np.ones(len(pdf), dtype=int)})),
+            Map(op, lambda pdf: pd.DataFrame({"n": np.ones(len(pdf), dtype=int)})),
             row_fn=lambda a, b: {"n": a["n"] + b["n"]},
-            batch_fn=lambda pdf: {"n": int(pdf["n"].sum())},
+            agg_spec={"n": "sum"},
         )
 
     r = dense_kv_pdf(128, value_field="vr", seed=13)
@@ -122,3 +123,28 @@ def test_rank_and_driver_post_hooks():
     plan = distributed_join_plan(cfg, rank_post=to_count, driver_post=count_hook)
     out, _ = run_on_sim(plan, 2, {"R": r, "S": s})
     assert list(out["n"]) == [128]
+
+
+def test_compressed_kernels_row_path_agrees_with_batch_path():
+    """The first nested level over one network partition of compressed
+    words: the interpreter (kernels on one-row frames) and the vectorized
+    evaluator restore the same keys and values."""
+    n, pid = 256, 1
+    cfg = JoinConfig(n_net=4, loc_bits=2, compress=True, p_bits=16)
+    r = dense_kv_pdf(n, value_field="vr", seed=15)
+    s = dense_kv_pdf(n, value_field="vs", seed=16)
+    r, s = r[r["k"] % 4 == pid], s[s["k"] % 4 == pid]
+    params = {
+        "net_pid_r": pid, "net_data_r": RowVector(cfg.spec("vr").compress_pdf(r)),
+        "net_pid_s": pid, "net_data_s": RowVector(cfg.spec("vs").compress_pdf(s)),
+    }
+    got_i, got_v = run_both(join_inner1_plan(cfg, ["r", "s"], ["vr", "vs"]), params)
+    rows_i = list(got_i[0]["pair_result"].iter_rows())
+    rows_v = list(got_v[0]["pair_result"].iter_rows())
+    assert len(rows_i) == n // 4
+    assert_same_rows(rows_i, rows_v)
+    expect = reference_join(r, s)
+    pd.testing.assert_frame_equal(
+        sorted_frame(pd.DataFrame(rows_i), ["k", "vr", "vs"]),
+        sorted_frame(expect, ["k", "vr", "vs"]),
+    )

@@ -5,7 +5,7 @@ import pytest
 from repro.core.lower import run_distributed_on_spark
 from repro.modular.common import JoinConfig
 from repro.modular.join import distributed_join_plan
-from repro.monolithic.spark import monolithic_join_stages, run_monolithic_join_spark
+from repro.monolithic.spark import run_monolithic_join_spark
 from repro.oracle import assert_equivalent
 from repro.synth_data import dense_kv_pdf
 
@@ -43,12 +43,3 @@ def test_monolithic_and_modular_same_result_on_spark(spark, frames):
         mod[cols].sort_values(cols).reset_index(drop=True).astype("int64"),
     )
 
-
-def test_stage_handles(spark, frames):
-    r, s = frames
-    cfg = JoinConfig(n_net=4, loc_bits=2)
-    stages = monolithic_join_stages(spark, spark.createDataFrame(r), spark.createDataFrame(s), cfg)
-    hist = stages["histogram"].toPandas()
-    # combined histogram covers both relations, all partitions
-    assert hist["count"].sum() == 2 * N
-    assert set(hist["__rel"]) == {0, 1}

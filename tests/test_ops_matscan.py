@@ -54,13 +54,11 @@ def lp_plan(n=4, **fields):
     data = source("t")
     hist = LocalHistogram(
         source("t"), n_buckets=n,
-        bucket_fn=lambda t: t["k"] % n,
-        bucket_batch_fn=lambda pdf: (pdf["k"] % n).to_numpy(),
+        bucket_fn=lambda pdf: (pdf["k"] % n).to_numpy(),
     )
     return LocalPartitioning(
         data, hist, n_partitions=n,
-        bucket_fn=lambda t: t["k"] % n,
-        bucket_batch_fn=lambda pdf: (pdf["k"] % n).to_numpy(),
+        bucket_fn=lambda pdf: (pdf["k"] % n).to_numpy(),
         **fields,
     )
 
@@ -85,16 +83,24 @@ class TestLocalPartitioning:
 
     def test_histogram_size_mismatch_raises(self):
         data = source("t")
-        hist = LocalHistogram(source("t"), n_buckets=2, bucket_fn=lambda t: t["k"] % 2)
-        lp = LocalPartitioning(data, hist, n_partitions=4, bucket_fn=lambda t: t["k"] % 4)
+        hist = LocalHistogram(
+            source("t"), n_buckets=2, bucket_fn=lambda pdf: (pdf["k"] % 2).to_numpy()
+        )
+        lp = LocalPartitioning(
+            data, hist, n_partitions=4, bucket_fn=lambda pdf: (pdf["k"] % 4).to_numpy()
+        )
         with pytest.raises(RuntimeError, match="histogram has 2 buckets"):
             interp.run_rows(Plan(lp), params=params_of(t=KV))
 
     def test_wrong_histogram_counts_raise(self):
         data = source("t")
         # histogram claims everything is in bucket 0
-        hist = LocalHistogram(source("t"), n_buckets=4, bucket_fn=lambda t: 0)
-        lp = LocalPartitioning(data, hist, n_partitions=4, bucket_fn=lambda t: t["k"] % 4)
+        hist = LocalHistogram(
+            source("t"), n_buckets=4, bucket_fn=lambda pdf: np.zeros(len(pdf), dtype=np.int64)
+        )
+        lp = LocalPartitioning(
+            data, hist, n_partitions=4, bucket_fn=lambda pdf: (pdf["k"] % 4).to_numpy()
+        )
         with pytest.raises(RuntimeError, match="histogram says"):
             interp.run_rows(Plan(lp), params=params_of(t=KV))
 
@@ -112,8 +118,7 @@ def count_partition_plan():
     pl = ParameterLookup()
     data = RowScan(Projection(pl, ["partition_data"]), "partition_data")
     count = LocalHistogram(
-        data, n_buckets=1, bucket_fn=lambda t: 0,
-        bucket_batch_fn=lambda pdf: np.zeros(len(pdf), dtype=np.int64),
+        data, n_buckets=1, bucket_fn=lambda pdf: np.zeros(len(pdf), dtype=np.int64),
     )
     return Plan(MaterializeRowVector(
         CartesianProduct(Projection(pl, ["partition_id"]), count), field="out"

@@ -32,37 +32,27 @@ def run_plan(root, **frames):
 
 class TestMap:
     def test_row_and_batch_agree(self):
-        root = Map(
-            source("t"),
-            row_fn=lambda t: {"k": t["k"], "v2": t["v"] * 2},
-            batch_fn=lambda pdf: pd.DataFrame({"k": pdf["k"], "v2": pdf["v"] * 2}),
-        )
+        root = Map(source("t"), lambda pdf: pd.DataFrame({"k": pdf["k"], "v2": pdf["v"] * 2}))
         rows = run_plan(root, t=KV)
         assert {"k": 1, "v2": 20} in rows
         assert len(rows) == 5
-
-    def test_batch_fallback_uses_row_fn(self):
-        root = Map(source("t"), row_fn=lambda t: {"s": t["k"] + t["v"]})
-        rows = run_plan(root, t=KV)
-        assert sorted(r["s"] for r in rows) == [11, 22, 33, 42, 51]
 
 
 class TestParametrizedMap:
     def test_parameter_passed_to_every_call(self):
         from repro.core.ops import ParameterLookup
 
-        param = Map(ParameterLookup(), row_fn=lambda t: {"shift": 100})
+        param = Map(ParameterLookup(), lambda pdf: pd.DataFrame({"shift": [100] * len(pdf)}))
         root = ParametrizedMap(
             param,
             source("t"),
-            row_fn=lambda t, p: {"k": t["k"] + p["shift"], "v": t["v"]},
-            batch_fn=lambda pdf, p: pd.DataFrame({"k": pdf["k"] + p["shift"], "v": pdf["v"]}),
+            lambda pdf, p: pd.DataFrame({"k": pdf["k"] + p["shift"], "v": pdf["v"]}),
         )
         rows = run_plan(root, t=KV)
         assert sorted(r["k"] for r in rows) == [101, 101, 102, 102, 103]
 
     def test_multiple_parameter_tuples_is_error(self):
-        root = ParametrizedMap(source("t"), source("t"), row_fn=lambda t, p: t)
+        root = ParametrizedMap(source("t"), source("t"), lambda pdf, p: pdf)
         from repro.core import interp
 
         with pytest.raises(RuntimeError, match="exactly one parameter"):
@@ -102,15 +92,9 @@ class TestCartesianProduct:
 
 class TestFilter:
     def test_predicate(self):
-        root = Filter(source("t"), row_pred=lambda t: t["v"] > 25,
-                      batch_pred=lambda pdf: (pdf["v"] > 25).to_numpy())
+        root = Filter(source("t"), lambda pdf: (pdf["v"] > 25).to_numpy())
         rows = run_plan(root, t=KV)
         assert sorted(r["v"] for r in rows) == [30, 40, 50]
-
-    def test_batch_fallback(self):
-        root = Filter(source("t"), row_pred=lambda t: t["k"] == 2)
-        rows = run_plan(root, t=KV)
-        assert len(rows) == 2
 
 
 class TestReduce:
@@ -118,7 +102,7 @@ class TestReduce:
         root = Reduce(
             Projection(source("t"), ["v"]),
             row_fn=lambda a, b: {"v": a["v"] + b["v"]},
-            batch_fn=lambda pdf: {"v": int(pdf["v"].sum())},
+            agg_spec={"v": "sum"},
         )
         rows = run_plan(root, t=KV)
         assert rows == [{"v": 150}]
@@ -192,8 +176,7 @@ class TestLocalHistogram:
     def test_dense_ordered_counts(self):
         root = LocalHistogram(
             source("t"), n_buckets=4,
-            bucket_fn=lambda t: t["k"] % 4,
-            bucket_batch_fn=lambda pdf: (pdf["k"] % 4).to_numpy(),
+            bucket_fn=lambda pdf: (pdf["k"] % 4).to_numpy(),
         )
         rows = run_plan(root, t=KV)
         assert [r["bucket_id"] for r in rows] == [0, 1, 2, 3]
@@ -202,12 +185,14 @@ class TestLocalHistogram:
     def test_out_of_range_bucket_raises(self):
         from repro.core import interp
 
-        root = LocalHistogram(source("t"), n_buckets=2, bucket_fn=lambda t: t["k"])
+        root = LocalHistogram(source("t"), n_buckets=2, bucket_fn=lambda pdf: pdf["k"].to_numpy())
         with pytest.raises(RuntimeError, match="out of range"):
             interp.run_rows(Plan(root), params=params_of(t=KV))
 
     def test_empty_input_gives_zero_counts(self):
-        root = LocalHistogram(source("t"), n_buckets=3, bucket_fn=lambda t: 0)
+        root = LocalHistogram(
+            source("t"), n_buckets=3, bucket_fn=lambda pdf: np.zeros(len(pdf), dtype=np.int64)
+        )
         rows = run_plan(root, t=KV.iloc[:0])
         assert [r["count"] for r in rows] == [0, 0, 0]
 

@@ -1,4 +1,5 @@
 """Unit tests for the plan DAG: topology, typing, rendering."""
+import numpy as np
 import pytest
 
 from repro.core import Plan
@@ -25,7 +26,7 @@ def kv_type():
 class TestTopology:
     def test_operators_topological(self):
         s = source("t")
-        f = Filter(s, row_pred=lambda t: True)
+        f = Filter(s, lambda pdf: np.ones(len(pdf), dtype=bool))
         plan = Plan(f)
         ops = plan.operators()
         assert ops.index(s) < ops.index(f)
@@ -33,15 +34,15 @@ class TestTopology:
 
     def test_shared_upstream_counted_once(self):
         s = source("t")
-        h = LocalHistogram(s, 2, bucket_fn=lambda t: t["k"] % 2)
-        z = Zip([h, LocalHistogram(s, 2, bucket_fn=lambda t: 0)])
+        h = LocalHistogram(s, 2, bucket_fn=lambda pdf: (pdf["k"] % 2).to_numpy())
+        z = Zip([h, LocalHistogram(s, 2, bucket_fn=lambda pdf: np.zeros(len(pdf), dtype=np.int64))])
         # Zip would fail at runtime on field overlap; topology only here.
         plan = Plan(z)
         assert plan.operators().count(s) == 1
 
     def test_cycle_detection(self):
         s = source("t")
-        f = Filter(s, row_pred=lambda t: True)
+        f = Filter(s, lambda pdf: np.ones(len(pdf), dtype=bool))
         s.upstreams.append(f)  # introduce a cycle
         with pytest.raises(ValueError, match="cycle"):
             Plan(f)
@@ -78,8 +79,8 @@ class TestTyping:
     def test_unknown_propagates_as_none(self):
         from repro.core.ops import Map
 
-        m = Map(ParameterLookup(declared_type=kv_type()), row_fn=lambda t: t)
-        assert Plan(Filter(m, row_pred=lambda t: True)).out_type() is None
+        m = Map(ParameterLookup(declared_type=kv_type()), lambda pdf: pdf)
+        assert Plan(Filter(m, lambda pdf: np.ones(len(pdf), dtype=bool))).out_type() is None
 
     def test_types_cover_nested_plans(self):
         inner = Plan(MaterializeRowVector(Projection(ParameterLookup(), ["k"]), field="d"))
@@ -97,7 +98,7 @@ class TestTyping:
 
 class TestRender:
     def test_render_mentions_all_ops(self):
-        plan = Plan(Filter(source("t"), row_pred=lambda t: True))
+        plan = Plan(Filter(source("t"), lambda pdf: np.ones(len(pdf), dtype=bool)))
         text = plan.render()
         for name in ("PL", "PR", "RS", "FL"):
             assert name in text

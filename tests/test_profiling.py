@@ -26,7 +26,7 @@ class TestProfiler:
 
     def test_wrap_attributes_operator_phase(self):
         df = pd.DataFrame({"k": range(100)})
-        hist = LocalHistogram(source("t"), 4, bucket_fn=lambda t: t["k"] % 4)
+        hist = LocalHistogram(source("t"), 4, bucket_fn=lambda pdf: (pdf["k"] % 4).to_numpy())
         prof = Profiler()
         ctx = ExecContext(profiler=prof)
         interp.run_rows(Plan(hist), ctx, params=params_of(t=df))
@@ -34,7 +34,7 @@ class TestProfiler:
 
     def test_vectorized_profile_covers_other(self):
         df = pd.DataFrame({"k": range(100)})
-        m = Map(source("t"), row_fn=lambda t: t, batch_fn=lambda p: p)
+        m = Map(source("t"), lambda p: p)
         prof = Profiler()
         ctx = ExecContext(profiler=prof)
         vectorized.run_to_pdf(Plan(m), ctx, params=params_of(t=df))
